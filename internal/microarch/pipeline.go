@@ -140,6 +140,9 @@ type Simulator struct {
 	lastDispatch int64
 	lastRetire   int64
 	lastLine     uint64
+	l1iLineShift uint // log2 of the L1I line size: PC >> shift is the line
+
+	batch []trace.Instruction // Run's batch buffer
 
 	cyclesPerUs int64
 	samples     []ActivitySample
@@ -168,43 +171,49 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		return nil, fmt.Errorf("microarch: L2: %w", err)
 	}
 	s := &Simulator{
-		cfg:         cfg,
-		caps:        cfg.capacity(),
-		l1i:         l1i,
-		l1d:         l1d,
-		l2:          l2,
-		pred:        NewPredictorKind(predictorKindOrDefault(cfg.PredictorKind), cfg.PredictorBits, cfg.BTBEntries),
-		fetchBW:     newBWRing(cfg.FetchWidth),
-		dispatchBW:  newBWRing(cfg.DispatchWidth),
-		issueBW:     newBWRing(cfg.IssueWidth),
-		retireBW:    newBWRing(cfg.RetireWidth),
-		intUnits:    newUnitPool(cfg.IntUnits),
-		fpUnits:     newUnitPool(cfg.FPUnits),
-		lsUnits:     newUnitPool(cfg.LSUnits),
-		brUnits:     newUnitPool(cfg.BranchUnits),
-		lcrUnits:    newUnitPool(cfg.LCRUnits),
-		rob:         newOccupancyRing(cfg.ROBSize),
-		memq:        newOccupancyRing(cfg.MemQueueSize),
-		intRegs:     newOccupancyRing(cfg.IntRegs - 32),
-		fpRegs:      newOccupancyRing(cfg.FPRegs - 32),
-		cyclesPerUs: cfg.CyclesPerMicrosecond(),
-		lastLine:    ^uint64(0),
+		cfg:          cfg,
+		caps:         cfg.capacity(),
+		l1i:          l1i,
+		l1d:          l1d,
+		l2:           l2,
+		pred:         NewPredictorKind(predictorKindOrDefault(cfg.PredictorKind), cfg.PredictorBits, cfg.BTBEntries),
+		fetchBW:      newBWRing(cfg.FetchWidth),
+		dispatchBW:   newBWRing(cfg.DispatchWidth),
+		issueBW:      newBWRing(cfg.IssueWidth),
+		retireBW:     newBWRing(cfg.RetireWidth),
+		intUnits:     newUnitPool(cfg.IntUnits),
+		fpUnits:      newUnitPool(cfg.FPUnits),
+		lsUnits:      newUnitPool(cfg.LSUnits),
+		brUnits:      newUnitPool(cfg.BranchUnits),
+		lcrUnits:     newUnitPool(cfg.LCRUnits),
+		rob:          newOccupancyRing(cfg.ROBSize),
+		memq:         newOccupancyRing(cfg.MemQueueSize),
+		intRegs:      newOccupancyRing(cfg.IntRegs - 32),
+		fpRegs:       newOccupancyRing(cfg.FPRegs - 32),
+		cyclesPerUs:  cfg.CyclesPerMicrosecond(),
+		lastLine:     ^uint64(0),
+		l1iLineShift: uint(log2(uint64(cfg.L1I.LineBytes))),
+		batch:        make([]trace.Instruction, trace.BatchLen),
 	}
 	return s, nil
 }
 
 // Run consumes the stream to completion (or the first error) and returns
-// the aggregated result.
+// the aggregated result. Instructions are pulled in batches of
+// trace.BatchLen into a buffer the simulator keeps.
 func (s *Simulator) Run(stream trace.Stream) (Result, error) {
+	src := trace.Batched(stream)
 	for {
-		in, err := stream.Next()
+		n, err := src.NextBatch(s.batch)
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return Result{}, fmt.Errorf("microarch: trace error after %d instructions: %w", s.retired, err)
 		}
-		s.step(in)
+		for i := range s.batch[:n] {
+			s.step(&s.batch[i])
+		}
 	}
 	return s.result(), nil
 }
@@ -231,12 +240,12 @@ func (s *Simulator) WarmAccess(addr uint64, store bool) {
 // step advances the model by one instruction, computing its fetch,
 // dispatch, issue, completion, and retirement cycles under all structural
 // constraints, and accumulating activity events.
-func (s *Simulator) step(in trace.Instruction) {
+func (s *Simulator) step(in *trace.Instruction) {
 	cfg := &s.cfg
 
 	// ---- Fetch: in-order, bandwidth-limited, I-cache latency on new lines.
 	fetchT := s.fetchHead
-	line := in.PC >> uint(log2(uint64(cfg.L1I.LineBytes)))
+	line := in.PC >> s.l1iLineShift
 	if line != s.lastLine {
 		s.lastLine = line
 		if !s.l1i.Access(in.PC) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
@@ -167,5 +168,50 @@ func TestSampledTraceIsRepresentative(t *testing.T) {
 		if math.Abs(g/f-1) > 0.10 {
 			t.Errorf("structure %d: sampled stationary AF %.4f vs full-trace %.4f", s, g, f)
 		}
+	}
+}
+
+// cancelAfter is a generator stream that cancels its context once it has
+// handed out at least `after` instructions, and counts every instruction
+// pulled.
+type cancelAfter struct {
+	*workload.Generator
+	cancel func()
+	after  int
+	pulled int
+}
+
+func (c *cancelAfter) NextBatch(buf []trace.Instruction) (int, error) {
+	n, err := c.Generator.NextBatch(buf)
+	c.pulled += n
+	if c.pulled >= c.after {
+		c.cancel()
+	}
+	return n, err
+}
+
+// TestRunTimingStreamCancelsWithinOneBatch pins the batch path's
+// cancellation cadence: once the context is cancelled, the timing stage
+// pulls no further batch and fails with context.Canceled.
+func TestRunTimingStreamCancelsWithinOneBatch(t *testing.T) {
+	prof, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.New(prof, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const after = 3*trace.BatchLen + 100
+	src := &cancelAfter{Generator: gen, cancel: cancel, after: after}
+	_, err = RunTimingStreamContext(ctx, testConfig(), prof, src)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if src.pulled < after || src.pulled >= after+trace.BatchLen {
+		t.Fatalf("pulled %d instructions; cancellation at %d must stop the run within one batch of %d",
+			src.pulled, after, trace.BatchLen)
 	}
 }

@@ -87,6 +87,8 @@ type WarmSkipper interface {
 // followed by periodic windows.
 type SystematicSampler struct {
 	src      Stream
+	batch    BatchStream // src as a BatchStream
+	one      [1]Instruction
 	cfg      SamplerConfig
 	warmer   MemWarmer
 	headLeft int64 // head instructions still to pass through
@@ -95,7 +97,7 @@ type SystematicSampler struct {
 	dropped  int64
 }
 
-var _ Stream = (*SystematicSampler)(nil)
+var _ BatchStream = (*SystematicSampler)(nil)
 
 // NewSystematicSampler wraps src with systematic sampling.
 func NewSystematicSampler(src Stream, cfg SamplerConfig) (*SystematicSampler, error) {
@@ -105,7 +107,7 @@ func NewSystematicSampler(src Stream, cfg SamplerConfig) (*SystematicSampler, er
 	if src == nil {
 		return nil, errors.New("trace: nil source stream")
 	}
-	return &SystematicSampler{src: src, cfg: cfg, headLeft: cfg.HeadInstrs}, nil
+	return &SystematicSampler{src: src, batch: Batched(src), cfg: cfg, headLeft: cfg.HeadInstrs}, nil
 }
 
 // SetWarmer registers the consumer's memory hierarchy for statistical
@@ -115,62 +117,79 @@ func NewSystematicSampler(src Stream, cfg SamplerConfig) (*SystematicSampler, er
 // plain Skip path.
 func (s *SystematicSampler) SetWarmer(w MemWarmer) { s.warmer = w }
 
-// Next returns the next sampled instruction, skipping out-of-window
-// instructions from the source. Sources implementing Skipper discard each
-// inter-window gap in one cheap jump instead of generating and dropping
-// every instruction in it.
+// Next returns the next sampled instruction.
 func (s *SystematicSampler) Next() (Instruction, error) {
-	if s.headLeft > 0 {
-		in, err := s.src.Next()
-		if err != nil {
-			return Instruction{}, err
-		}
-		s.headLeft--
-		s.kept++
-		return in, nil
+	if _, err := s.NextBatch(s.one[:]); err != nil {
+		return Instruction{}, err
 	}
-	for {
-		if s.pos >= s.cfg.WindowInstrs {
-			if ws, ok := s.src.(WarmSkipper); ok && s.warmer != nil {
-				n, err := ws.SkipWarm(s.cfg.PeriodInstrs-s.pos, s.warmer)
-				s.dropped += n
-				s.pos += n
-				if s.pos >= s.cfg.PeriodInstrs {
-					s.pos = 0
-				}
-				if err != nil {
-					return Instruction{}, err
-				}
-				continue
-			}
-			if sk, ok := s.src.(Skipper); ok {
-				n, err := sk.Skip(s.cfg.PeriodInstrs - s.pos)
-				s.dropped += n
-				s.pos += n
-				if s.pos >= s.cfg.PeriodInstrs {
-					s.pos = 0
-				}
-				if err != nil {
-					return Instruction{}, err
-				}
-				continue
-			}
+	return s.one[0], nil
+}
+
+// NextBatch fills buf with sampled instructions, skipping out-of-window
+// instructions from the source. A batch never crosses a window boundary:
+// the inter-window gap is skipped at the start of the following call, so a
+// consumer has processed every instruction of a window before the skip
+// warms its memory hierarchy, exactly as with Next. Sources implementing
+// Skipper discard each gap in one cheap jump instead of generating and
+// dropping every instruction in it.
+func (s *SystematicSampler) NextBatch(buf []Instruction) (int, error) {
+	if len(buf) == 0 {
+		return 0, nil
+	}
+	if s.headLeft > 0 {
+		n, err := s.batch.NextBatch(clip(buf, s.headLeft))
+		s.headLeft -= int64(n)
+		s.kept += int64(n)
+		return n, err
+	}
+	for s.pos >= s.cfg.WindowInstrs {
+		n, ok, err := s.skipGap()
+		if !ok {
+			// The source cannot skip: read the gap and drop it.
+			var m int
+			m, err = s.batch.NextBatch(clip(buf, s.cfg.PeriodInstrs-s.pos))
+			n = int64(m)
 		}
-		in, err := s.src.Next()
-		if err != nil {
-			return Instruction{}, err
-		}
-		inWindow := s.pos < s.cfg.WindowInstrs
-		s.pos++
-		if s.pos == s.cfg.PeriodInstrs {
+		s.dropped += n
+		s.pos += n
+		if s.pos >= s.cfg.PeriodInstrs {
 			s.pos = 0
 		}
-		if inWindow {
-			s.kept++
-			return in, nil
+		if err != nil {
+			return 0, err
 		}
-		s.dropped++
 	}
+	n, err := s.batch.NextBatch(clip(buf, s.cfg.WindowInstrs-s.pos))
+	s.kept += int64(n)
+	s.pos += int64(n)
+	if s.pos == s.cfg.PeriodInstrs {
+		s.pos = 0
+	}
+	return n, err
+}
+
+// skipGap discards the rest of the current period through the source's
+// SkipWarm (with a warmer registered) or Skip. ok is false when the source
+// implements neither.
+func (s *SystematicSampler) skipGap() (n int64, ok bool, err error) {
+	rest := s.cfg.PeriodInstrs - s.pos
+	if ws, isWarm := s.src.(WarmSkipper); isWarm && s.warmer != nil {
+		n, err = ws.SkipWarm(rest, s.warmer)
+		return n, true, err
+	}
+	if sk, isSkip := s.src.(Skipper); isSkip {
+		n, err = sk.Skip(rest)
+		return n, true, err
+	}
+	return 0, false, nil
+}
+
+// clip shortens buf to at most n instructions.
+func clip(buf []Instruction, n int64) []Instruction {
+	if int64(len(buf)) > n {
+		return buf[:n]
+	}
+	return buf
 }
 
 // Kept returns the number of instructions passed through.

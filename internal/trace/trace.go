@@ -128,13 +128,68 @@ type Stream interface {
 	Next() (Instruction, error)
 }
 
+// BatchLen is the batch size consumers pull: large enough that the
+// per-batch interface calls and cancellation check vanish in the
+// per-instruction cost, and at 32 KiB small enough that the buffer each
+// timing simulator keeps leaves a study's peak resident set unchanged.
+// 4096-instruction buffers raised it by 3–6% on the perfbench cold
+// workloads (2 vCPU guest) and ran no faster.
+const BatchLen = 1024
+
+// BatchStream is a Stream that can also produce instructions in batches.
+// NextBatch fills a prefix of a non-empty buf and returns its length: n > 0
+// with a nil error, or 0 with an error (io.EOF after the final
+// instruction). A short batch does not signal the end of the stream. The
+// instructions are the same ones repeated Next calls would return.
+type BatchStream interface {
+	Stream
+	NextBatch(buf []Instruction) (int, error)
+}
+
+// Batched returns s as a BatchStream: s itself when it implements one,
+// otherwise an adapter that fills each batch with Next calls. The adapter
+// never reads ahead of the batch it is asked for, so callers may mix its
+// batches with Skip calls on s.
+func Batched(s Stream) BatchStream {
+	if b, ok := s.(BatchStream); ok {
+		return b
+	}
+	return &nextBatcher{Stream: s}
+}
+
+// nextBatcher adapts a plain Stream to BatchStream.
+type nextBatcher struct {
+	Stream
+	err error // an error met mid-batch, returned by the following call
+}
+
+func (b *nextBatcher) NextBatch(buf []Instruction) (int, error) {
+	if b.err != nil {
+		err := b.err
+		b.err = nil
+		return 0, err
+	}
+	for i := range buf {
+		in, err := b.Next()
+		if err != nil {
+			if i == 0 {
+				return 0, err
+			}
+			b.err = err
+			return i, nil
+		}
+		buf[i] = in
+	}
+	return len(buf), nil
+}
+
 // SliceStream adapts an in-memory instruction slice to the Stream interface.
 type SliceStream struct {
 	instrs []Instruction
 	pos    int
 }
 
-var _ Stream = (*SliceStream)(nil)
+var _ BatchStream = (*SliceStream)(nil)
 
 // NewSliceStream returns a Stream over instrs. The slice is not copied; the
 // caller must not mutate it while streaming.
@@ -150,6 +205,16 @@ func (s *SliceStream) Next() (Instruction, error) {
 	in := s.instrs[s.pos]
 	s.pos++
 	return in, nil
+}
+
+// NextBatch copies the next instructions into buf, or returns io.EOF.
+func (s *SliceStream) NextBatch(buf []Instruction) (int, error) {
+	n := copy(buf, s.instrs[s.pos:])
+	if n == 0 && len(buf) > 0 {
+		return 0, io.EOF
+	}
+	s.pos += n
+	return n, nil
 }
 
 // Reset rewinds the stream to the beginning.

@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"github.com/ramp-sim/ramp/internal/trace"
 )
@@ -161,8 +160,8 @@ func (p Profile) Validate() error {
 	if !(p.WarmProb >= 0 && p.ColdProb >= 0 && p.WarmProb+p.ColdProb <= 1) {
 		return fmt.Errorf("workload: profile %q: invalid warm/cold probabilities", p.Name)
 	}
-	// Working-set sizes feed rand.Int63n, which panics on non-positive
-	// arguments: sizes above MaxInt64 would wrap negative.
+	// Working-set sizes bound the generator's Int63n offset draws, which
+	// need a positive int64 bound: sizes above MaxInt64 would wrap negative.
 	if p.HotBytes == 0 || p.WarmBytes == 0 {
 		return fmt.Errorf("workload: profile %q: working-set sizes must be positive", p.Name)
 	}
@@ -201,31 +200,57 @@ func (p Profile) Validate() error {
 // and FP registers occupy disjoint ranges, mimicking a RISC ISA.
 const (
 	_intRegBase  = 1
-	_intRegCount = 32
+	_intRegCount = _regCount
 	_fpRegBase   = 128
-	_fpRegCount  = 32
+	_fpRegCount  = _regCount
+	// _regCount registers of each kind; a power of two that _ringLen
+	// divides, so round-robin positions wrap with a mask and one position
+	// indexes both the register name and its ring slot.
+	_regCount = 32
 )
 
 // block is one static basic block of the synthetic control-flow graph.
 type block struct {
-	startPC   uint64
-	length    int     // instructions including the terminating branch
-	takenBias float64 // probability the terminating branch is taken
-	target    int     // block index jumped to when taken
+	startPC uint64
+	length  int   // instructions including the terminating branch
+	taken   int64 // the terminating branch is taken when a draw is below it
+	target  int   // block index jumped to when taken
+}
+
+// _ringLen is the length of the recent-destination rings that source
+// operands draw dependencies from; a power of two, so ring positions wrap
+// with a mask.
+const _ringLen = 16
+
+// draws holds the per-instruction draw parameters, fixed for a generator's
+// lifetime. Each threshold stands for the math/rand Float64 comparison
+// in its comment (see threshold): the comparison holds exactly when
+// lfSource.unit() returns a value below the threshold.
+type draws struct {
+	near    int64    // Float64() < NearDepProb: the source is a near dependency
+	geoStop int64    // Float64() <= 1/DepDist: the geometric distance stops growing
+	mix     [7]int64 // Float64()*nonBranch < the k-th prefix sum of the mix
+	fpMem   int64    // Float64() < 0.7: an FP-suite load or store moves an FP value
+	// region holds the cold and cold+warm data-access thresholds for the
+	// even (compute or phase-free) and odd (memory) program phases.
+	region    [2]struct{ cold, warm int64 }
+	hot, warm modulus // Int63n bounds of the hot and warm working sets
 }
 
 // Generator produces the synthetic instruction stream for a profile. It
-// implements trace.Stream. Create with New; the zero value is not usable.
+// implements trace.BatchStream. Create with New; the zero value is not
+// usable.
 type Generator struct {
 	prof      Profile
-	rng       *rand.Rand
+	rng       lfSource
+	draw      draws
 	blocks    []block
 	cur       int // current block index
 	pos       int // position within current block
-	recentInt []uint16
-	recentFP  []uint16
-	riPos     int
-	rfPos     int
+	recentInt [_ringLen]uint16
+	recentFP  [_ringLen]uint16
+	riPos     int // next integer destination, mod _intRegCount
+	rfPos     int // next FP destination, mod _fpRegCount
 	coldPtr   uint64
 	remaining int64
 	produced  int64
@@ -241,25 +266,19 @@ type Generator struct {
 }
 
 var (
-	_ trace.Stream      = (*Generator)(nil)
+	_ trace.BatchStream = (*Generator)(nil)
 	_ trace.Skipper     = (*Generator)(nil)
 	_ trace.WarmSkipper = (*Generator)(nil)
 )
 
 // New builds a deterministic generator for profile p producing n
-// instructions (n <= 0 means unbounded).
+// instructions (n < 0 means unbounded).
 func New(p Profile, n int64) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	g := &Generator{
-		prof:      p,
-		rng:       rng,
-		recentInt: make([]uint16, 16),
-		recentFP:  make([]uint16, 16),
-		remaining: n,
-	}
+	g := &Generator{prof: p, remaining: n}
+	g.rng.seed(p.Seed)
 	for i := range g.recentInt {
 		g.recentInt[i] = uint16(_intRegBase + i%_intRegCount)
 	}
@@ -267,7 +286,36 @@ func New(p Profile, n int64) (*Generator, error) {
 		g.recentFP[i] = uint16(_fpRegBase + i%_fpRegCount)
 	}
 	g.buildCFG()
+	g.buildDraws()
 	return g, nil
+}
+
+// buildDraws computes the draw thresholds and bounds from the profile,
+// evaluating each probability with the same float arithmetic the
+// comparisons it replaces used.
+func (g *Generator) buildDraws() {
+	p := g.prof
+	d := &g.draw
+	d.near = below(p.NearDepProb)
+	stop := 1 / p.DepDist
+	d.geoStop = threshold(func(f float64) bool { return f <= stop })
+	m := p.Mix
+	nonBranch := m.Sum() - m.Branch
+	prefix := 0.0
+	for k, frac := range [...]float64{m.IntALU, m.IntMul, m.IntDiv, m.FPOp, m.FPDiv, m.Load, m.Store} {
+		prefix += frac
+		c := prefix
+		d.mix[k] = threshold(func(f float64) bool { return f*nonBranch < c })
+	}
+	d.fpMem = below(0.7)
+	for parity := range d.region {
+		scale := g.phaseScaleAt(int64(parity) * p.PhaseInstrs)
+		coldProb, warmProb := p.ColdProb*scale, p.WarmProb*scale
+		d.region[parity].cold = below(coldProb)
+		d.region[parity].warm = below(coldProb + warmProb)
+	}
+	d.hot = newModulus(int64(p.HotBytes))
+	d.warm = newModulus(int64(p.WarmBytes))
 }
 
 // buildCFG lays out the static basic blocks. Block lengths are sampled
@@ -288,8 +336,16 @@ func (g *Generator) buildCFG() {
 		g.blocks[i].length = l
 		pc += uint64(l) * 4
 	}
+	// sampleBias returns one of four biases; search each threshold once.
+	taken := make(map[float64]int64, 4)
 	for i := range g.blocks {
-		g.blocks[i].takenBias = g.sampleBias()
+		bias := g.sampleBias()
+		t, ok := taken[bias]
+		if !ok {
+			t = below(bias)
+			taken[bias] = t
+		}
+		g.blocks[i].taken = t
 		g.blocks[i].target = g.sampleTarget(i)
 	}
 }
@@ -342,31 +398,56 @@ func (g *Generator) Next() (trace.Instruction, error) {
 	if g.remaining == 0 {
 		return trace.Instruction{}, io.EOF
 	}
-	b := &g.blocks[g.cur]
-	pc := b.startPC + uint64(g.pos)*4
 	var in trace.Instruction
-	if g.pos == b.length-1 {
-		in = g.makeBranch(pc, b)
-		// Advance control flow.
-		if in.Taken {
-			g.cur = b.target
-		} else {
-			g.cur = (g.cur + 1) % len(g.blocks)
-		}
-		g.pos = 0
-	} else {
-		in = g.makeBody(pc)
-		g.pos++
-	}
+	g.next(&in)
 	if g.remaining > 0 {
 		g.remaining--
 	}
+	return in, nil
+}
+
+// NextBatch fills buf with the next instructions of the stream,
+// implementing trace.BatchStream. It yields the same instructions as
+// repeated calls to Next.
+func (g *Generator) NextBatch(buf []trace.Instruction) (int, error) {
+	if g.remaining == 0 {
+		return 0, io.EOF
+	}
+	if g.remaining > 0 && int64(len(buf)) > g.remaining {
+		buf = buf[:g.remaining]
+	}
+	for i := range buf {
+		g.next(&buf[i])
+	}
+	if g.remaining > 0 {
+		g.remaining -= int64(len(buf))
+	}
+	return len(buf), nil
+}
+
+// next generates one instruction into in; the caller accounts for it
+// against the stream's remaining budget.
+func (g *Generator) next(in *trace.Instruction) {
+	b := &g.blocks[g.cur]
+	pc := b.startPC + uint64(g.pos)*4
+	if g.pos == b.length-1 {
+		g.makeBranch(in, pc, b)
+		// Advance control flow.
+		if in.Taken {
+			g.cur = b.target
+		} else if g.cur++; g.cur == len(g.blocks) {
+			g.cur = 0
+		}
+		g.pos = 0
+	} else {
+		g.makeBody(in, pc)
+		g.pos++
+	}
 	g.produced++
 	g.genCount++
-	if in.Class == trace.ClassLoad || in.Class == trace.ClassStore {
+	if in.Class.IsMem() {
 		g.genMem++
 	}
-	return in, nil
 }
 
 // Produced returns the number of instructions generated so far.
@@ -509,57 +590,53 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func (g *Generator) makeBranch(pc uint64, b *block) trace.Instruction {
-	in := trace.Instruction{
+func (g *Generator) makeBranch(in *trace.Instruction, pc uint64, b *block) {
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: trace.ClassBranch,
 		Src1:  g.pickSource(false),
-		Taken: g.rng.Float64() < b.takenBias,
+		Taken: g.rng.unit() < b.taken,
 	}
 	if in.Taken {
 		in.Target = g.blocks[b.target].startPC
 	}
-	return in
 }
 
 // makeBody samples a non-branch instruction from the mix.
-func (g *Generator) makeBody(pc uint64) trace.Instruction {
-	m := g.prof.Mix
-	nonBranch := m.Sum() - m.Branch
-	x := g.rng.Float64() * nonBranch
+func (g *Generator) makeBody(in *trace.Instruction, pc uint64) {
+	v, mix := g.rng.unit(), &g.draw.mix
 	switch {
-	case x < m.IntALU:
-		return g.makeALU(pc, trace.ClassIntALU)
-	case x < m.IntALU+m.IntMul:
-		return g.makeALU(pc, trace.ClassIntMul)
-	case x < m.IntALU+m.IntMul+m.IntDiv:
-		return g.makeALU(pc, trace.ClassIntDiv)
-	case x < m.IntALU+m.IntMul+m.IntDiv+m.FPOp:
-		return g.makeFP(pc, trace.ClassFPOp)
-	case x < m.IntALU+m.IntMul+m.IntDiv+m.FPOp+m.FPDiv:
-		return g.makeFP(pc, trace.ClassFPDiv)
-	case x < m.IntALU+m.IntMul+m.IntDiv+m.FPOp+m.FPDiv+m.Load:
-		return g.makeLoad(pc)
-	case x < m.IntALU+m.IntMul+m.IntDiv+m.FPOp+m.FPDiv+m.Load+m.Store:
-		return g.makeStore(pc)
+	case v < mix[0]:
+		g.makeALU(in, pc, trace.ClassIntALU)
+	case v < mix[1]:
+		g.makeALU(in, pc, trace.ClassIntMul)
+	case v < mix[2]:
+		g.makeALU(in, pc, trace.ClassIntDiv)
+	case v < mix[3]:
+		g.makeFP(in, pc, trace.ClassFPOp)
+	case v < mix[4]:
+		g.makeFP(in, pc, trace.ClassFPDiv)
+	case v < mix[5]:
+		g.makeLoad(in, pc)
+	case v < mix[6]:
+		g.makeStore(in, pc)
 	default:
-		return g.makeLCR(pc)
+		g.makeLCR(in, pc)
 	}
 }
 
-func (g *Generator) makeALU(pc uint64, c trace.Class) trace.Instruction {
-	in := trace.Instruction{
+func (g *Generator) makeALU(in *trace.Instruction, pc uint64, c trace.Class) {
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: c,
 		Src1:  g.pickSource(false),
 		Src2:  g.pickSource(false),
 		Dest:  g.newDest(false),
 	}
-	return in
 }
 
-func (g *Generator) makeFP(pc uint64, c trace.Class) trace.Instruction {
-	return trace.Instruction{
+func (g *Generator) makeFP(in *trace.Instruction, pc uint64, c trace.Class) {
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: c,
 		Src1:  g.pickSource(true),
@@ -568,9 +645,9 @@ func (g *Generator) makeFP(pc uint64, c trace.Class) trace.Instruction {
 	}
 }
 
-func (g *Generator) makeLoad(pc uint64) trace.Instruction {
-	fp := g.prof.Suite == SuiteFP && g.rng.Float64() < 0.7
-	return trace.Instruction{
+func (g *Generator) makeLoad(in *trace.Instruction, pc uint64) {
+	fp := g.prof.Suite == SuiteFP && g.rng.unit() < g.draw.fpMem
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: trace.ClassLoad,
 		Addr:  g.dataAddress(),
@@ -579,9 +656,9 @@ func (g *Generator) makeLoad(pc uint64) trace.Instruction {
 	}
 }
 
-func (g *Generator) makeStore(pc uint64) trace.Instruction {
-	fp := g.prof.Suite == SuiteFP && g.rng.Float64() < 0.7
-	return trace.Instruction{
+func (g *Generator) makeStore(in *trace.Instruction, pc uint64) {
+	fp := g.prof.Suite == SuiteFP && g.rng.unit() < g.draw.fpMem
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: trace.ClassStore,
 		Addr:  g.dataAddress(),
@@ -590,8 +667,8 @@ func (g *Generator) makeStore(pc uint64) trace.Instruction {
 	}
 }
 
-func (g *Generator) makeLCR(pc uint64) trace.Instruction {
-	return trace.Instruction{
+func (g *Generator) makeLCR(in *trace.Instruction, pc uint64) {
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: trace.ClassLCR,
 		Src1:  g.pickSource(false),
@@ -599,12 +676,9 @@ func (g *Generator) makeLCR(pc uint64) trace.Instruction {
 	}
 }
 
-// phaseScale returns the current multiplier on the warm/cold access
-// probabilities: >1 in the memory phase, <1 in the compute phase, 1 with
-// phases disabled.
-func (g *Generator) phaseScale() float64 { return g.phaseScaleAt(g.produced) }
-
-// phaseScaleAt evaluates the phase schedule at absolute trace position p.
+// phaseScaleAt evaluates the phase schedule at absolute trace position p:
+// the multiplier on the warm/cold access probabilities is >1 in the memory
+// phase, <1 in the compute phase, and 1 with phases disabled.
 func (g *Generator) phaseScaleAt(p int64) float64 {
 	if g.prof.PhaseInstrs <= 0 {
 		return 1
@@ -627,58 +701,54 @@ const (
 // model: hot (L1-resident), warm (L2-resident), or cold (streaming past
 // the L2). Regions are disjoint so cache behaviour is controllable.
 func (g *Generator) dataAddress() uint64 {
-	scale := g.phaseScale()
-	warmProb := g.prof.WarmProb * scale
-	coldProb := g.prof.ColdProb * scale
-	x := g.rng.Float64()
-	switch {
-	case x < coldProb:
+	r := &g.draw.region[0]
+	if g.prof.PhaseInstrs > 0 && (g.produced/g.prof.PhaseInstrs)%2 == 1 {
+		r = &g.draw.region[1]
+	}
+	switch v := g.rng.unit(); {
+	case v < r.cold:
 		// Stream through a region far larger than the L2 in cache-line
 		// steps so every access is a fresh line.
 		g.coldPtr += 64
 		return coldBase + g.coldPtr%(1<<30)
-	case x < coldProb+warmProb:
-		off := uint64(g.rng.Int63n(int64(g.prof.WarmBytes))) &^ 7
-		return warmBase + off
+	case v < r.warm:
+		return warmBase + uint64(g.rng.Int63n(&g.draw.warm))&^7
 	default:
-		off := uint64(g.rng.Int63n(int64(g.prof.HotBytes))) &^ 7
-		return hotBase + off
+		return hotBase + uint64(g.rng.Int63n(&g.draw.hot))&^7
 	}
 }
 
 // pickSource chooses a source register: near (recently written, likely
 // in flight) with probability NearDepProb, else a stable old value.
 func (g *Generator) pickSource(fp bool) uint16 {
-	recent, pos := g.recentInt, g.riPos
-	base, count := uint16(_intRegBase), _intRegCount
+	recent, pos, base := &g.recentInt, g.riPos, uint16(_intRegBase)
 	if fp {
-		recent, pos = g.recentFP, g.rfPos
-		base, count = uint16(_fpRegBase), _fpRegCount
+		recent, pos, base = &g.recentFP, g.rfPos, _fpRegBase
 	}
-	if g.rng.Float64() < g.prof.NearDepProb {
+	if g.rng.unit() < g.draw.near {
 		// Geometric distance with the profile's mean, capped by the
 		// recent-ring size.
 		d := 1
-		for float64(d) < float64(len(recent)) && g.rng.Float64() > 1/g.prof.DepDist {
+		for d < _ringLen && g.rng.unit() >= g.draw.geoStop {
 			d++
 		}
-		idx := (pos - d + 2*len(recent)) % len(recent)
-		return recent[idx]
+		return recent[(pos-d)&(_ringLen-1)]
 	}
-	return base + uint16(g.rng.Intn(count))
+	// Intn(32): a power-of-two bound masks the draw's top 31 bits.
+	return base + uint16(int32(g.rng.Int63()>>32)&(_regCount-1))
 }
 
 // newDest allocates the next destination register round-robin and records
 // it in the recent ring used for dependency construction.
 func (g *Generator) newDest(fp bool) uint16 {
 	if fp {
-		reg := uint16(_fpRegBase + int(g.rfPos)%_fpRegCount)
-		g.recentFP[g.rfPos%len(g.recentFP)] = reg
-		g.rfPos++
+		reg := uint16(_fpRegBase + g.rfPos)
+		g.recentFP[g.rfPos&(_ringLen-1)] = reg
+		g.rfPos = (g.rfPos + 1) & (_regCount - 1)
 		return reg
 	}
-	reg := uint16(_intRegBase + int(g.riPos)%_intRegCount)
-	g.recentInt[g.riPos%len(g.recentInt)] = reg
-	g.riPos++
+	reg := uint16(_intRegBase + g.riPos)
+	g.recentInt[g.riPos&(_ringLen-1)] = reg
+	g.riPos = (g.riPos + 1) & (_regCount - 1)
 	return reg
 }
