@@ -71,3 +71,35 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/instr")
 }
+
+// BenchmarkSkipWarm measures phase fidelity's statistical cache warming:
+// each op skips one default sampling gap (90k instructions) of gzip,
+// replaying its memory traffic into a simulator's caches, in ns per
+// skipped instruction — the figure behind perfbench's workload.skip_s.
+func BenchmarkSkipWarm(b *testing.B) {
+	const gap = 90_000
+	prof, err := workload.ByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := workload.New(prof, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := NewSimulator(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Generate a window first so the skip replays at the measured dynamic
+	// memory rate, as it does between sampled windows.
+	if _, err := trace.Collect(gen, 10_000); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gen.SkipWarm(gap, sim); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*gap), "ns/skipped")
+}

@@ -1,6 +1,9 @@
 package microarch
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes the simulated machine. DefaultConfig returns the paper's
 // Table 2 base processor; tests use smaller variants.
@@ -128,8 +131,20 @@ func (c Config) Validate() error {
 	if c.MispredictPenalty < 0 {
 		return fmt.Errorf("microarch: MispredictPenalty must be ≥ 0, got %d", c.MispredictPenalty)
 	}
-	if c.FrequencyGHz <= 0 {
+	if !(c.FrequencyGHz > 0) {
 		return fmt.Errorf("microarch: FrequencyGHz must be positive, got %v", c.FrequencyGHz)
+	}
+	// Activity is counted per 1µs interval, so an interval needs at least
+	// one cycle, and its largest possible count — a full-width stage every
+	// cycle, or a full issue width of weight-4 divides — must fit the
+	// simulator's 32-bit counters.
+	cpu := c.CyclesPerMicrosecond()
+	if cpu < 1 {
+		return fmt.Errorf("microarch: FrequencyGHz %v gives %d cycles per 1µs interval, need at least 1", c.FrequencyGHz, cpu)
+	}
+	perCycle := max(c.FetchWidth, c.DispatchWidth, c.RetireWidth, 4*c.IssueWidth)
+	if float64(cpu)*float64(perCycle) > math.MaxUint32 {
+		return fmt.Errorf("microarch: FrequencyGHz %v with %d events per cycle overflows a 1µs interval's counters", c.FrequencyGHz, perCycle)
 	}
 	// Register files must cover the architected name space with headroom
 	// for in-flight renames.

@@ -12,7 +12,9 @@ import (
 // cycle, the earliest cycle with spare per-cycle capacity. Entries are
 // lazily reset by stamping the cycle they describe, so the ring never needs
 // clearing. The ring must be longer than the largest spread of in-flight
-// reservation cycles (bounded by ROB size × worst-case latency).
+// reservation cycles (bounded by ROB size × worst-case latency). Issue is
+// the one stage that books out of order and needs it; the in-order stages
+// use inorderBW.
 type bwRing struct {
 	counts []int32
 	cycles []int64
@@ -46,6 +48,35 @@ func (b *bwRing) reserve(t int64) int64 {
 	}
 }
 
+// inorderBW is bwRing for a requester whose requests never fall below the
+// last cycle it was given — fetch, dispatch and retire, which proceed in
+// program order. Then no cycle after the latest booked one holds a
+// booking, so that cycle's count is the only state reserve needs, and it
+// returns exactly what a bwRing would for the same requests.
+type inorderBW struct {
+	cur   int64 // latest booked cycle
+	n     int32 // bookings at cur
+	limit int32
+}
+
+func newInorderBW(limit int) inorderBW {
+	return inorderBW{limit: int32(limit)}
+}
+
+// reserve books one slot at the earliest cycle ≥ t with spare capacity and
+// returns that cycle. t must be at least the last cycle returned.
+func (b *inorderBW) reserve(t int64) int64 {
+	if t == b.cur {
+		if b.n < b.limit {
+			b.n++
+			return t
+		}
+		t++
+	}
+	b.cur, b.n = t, 1
+	return t
+}
+
 // unitPool models a set of interchangeable functional units. Pipelined
 // operations occupy a unit for one cycle; non-pipelined operations (the
 // divides) occupy it for their full latency.
@@ -60,30 +91,26 @@ func newUnitPool(n int) unitPool {
 // acquire finds a unit for an operation that becomes ready at cycle t and
 // occupies its unit for occ cycles. It returns the issue cycle. It prefers
 // a unit already idle at t (avoiding false contention from program-order
-// reservation); otherwise it waits for the earliest-free unit.
+// reservation), the most recently used one so other units remain free for
+// earlier-ready operations; otherwise it waits for the earliest-free unit.
+// Ties go to the lowest index.
 func (u *unitPool) acquire(t int64, occ int64) int64 {
-	best := -1
-	var bestFree int64
+	idle, idleFree := -1, int64(0)
+	early, earlyFree := 0, u.free[0]
 	for i, f := range u.free {
 		if f <= t {
-			// Idle at t: prefer the most recently used idle unit so other
-			// units remain free for earlier-ready operations.
-			if best == -1 || f > bestFree {
-				best, bestFree = i, f
+			if idle < 0 || f > idleFree {
+				idle, idleFree = i, f
 			}
+		} else if f < earlyFree {
+			early, earlyFree = i, f
 		}
 	}
-	if best == -1 {
-		// All busy at t: take the earliest-free unit.
-		best, bestFree = 0, u.free[0]
-		for i, f := range u.free {
-			if f < bestFree {
-				best, bestFree = i, f
-			}
-		}
-		t = bestFree
+	if idle < 0 {
+		// All busy at t.
+		idle, t = early, earlyFree
 	}
-	u.free[best] = t + occ
+	u.free[idle] = t + occ
 	return t
 }
 
@@ -124,10 +151,10 @@ type Simulator struct {
 
 	regReady [trace.NumArchRegs]int64
 
-	fetchBW    bwRing
-	dispatchBW bwRing
+	fetchBW    inorderBW
+	dispatchBW inorderBW
 	issueBW    bwRing
-	retireBW   bwRing
+	retireBW   inorderBW
 
 	intUnits, fpUnits, lsUnits, brUnits, lcrUnits unitPool
 
@@ -145,8 +172,12 @@ type Simulator struct {
 	batch []trace.Instruction // Run's batch buffer
 
 	cyclesPerUs int64
-	samples     []ActivitySample
-	totalEvents [NumStructures]float64
+	intervals   []intervalCounts
+	// iv caches the interval holding cycles [ivLo, ivHi), so most events
+	// find their interval without a divide. It points into intervals and
+	// is re-pointed whenever intervals grows.
+	iv         *intervalCounts
+	ivLo, ivHi int64
 
 	retired     int64
 	branches    int64
@@ -177,10 +208,10 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		l1d:          l1d,
 		l2:           l2,
 		pred:         NewPredictorKind(predictorKindOrDefault(cfg.PredictorKind), cfg.PredictorBits, cfg.BTBEntries),
-		fetchBW:      newBWRing(cfg.FetchWidth),
-		dispatchBW:   newBWRing(cfg.DispatchWidth),
+		fetchBW:      newInorderBW(cfg.FetchWidth),
+		dispatchBW:   newInorderBW(cfg.DispatchWidth),
 		issueBW:      newBWRing(cfg.IssueWidth),
-		retireBW:     newBWRing(cfg.RetireWidth),
+		retireBW:     newInorderBW(cfg.RetireWidth),
 		intUnits:     newUnitPool(cfg.IntUnits),
 		fpUnits:      newUnitPool(cfg.FPUnits),
 		lsUnits:      newUnitPool(cfg.LSUnits),
@@ -258,7 +289,7 @@ func (s *Simulator) step(in *trace.Instruction) {
 	}
 	fetchT = s.fetchBW.reserve(fetchT)
 	s.fetchHead = fetchT
-	s.addEvent(StructIFU, fetchT, 1)
+	s.interval(fetchT).events[StructIFU]++
 
 	// ---- Dispatch: in-order, group width, window/queue/register occupancy.
 	dispT := fetchT + int64(cfg.FetchToDispatch)
@@ -287,7 +318,7 @@ func (s *Simulator) step(in *trace.Instruction) {
 	}
 	dispT = s.dispatchBW.reserve(dispT)
 	s.lastDispatch = dispT
-	s.addEvent(StructIDU, dispT, 1)
+	s.interval(dispT).events[StructIDU]++
 
 	// ---- Ready: all source operands produced.
 	ready := dispT + 1
@@ -298,39 +329,34 @@ func (s *Simulator) step(in *trace.Instruction) {
 		ready = s.regReady[in.Src2]
 	}
 
-	// ---- Issue and execute.
+	// ---- Issue and execute. Each class books its unit pool and one issue
+	// slot, and records weight events on its structure.
 	var issueT, completeT int64
+	unit, weight := StructFXU, uint32(1)
 	switch in.Class {
 	case trace.ClassIntALU:
-		issueT = s.intUnits.acquire(ready, 1)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.intUnits.acquire(ready, 1))
 		completeT = issueT + int64(cfg.IntAddLat)
-		s.addEvent(StructFXU, issueT, 1)
 	case trace.ClassIntMul:
-		issueT = s.intUnits.acquire(ready, 1)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.intUnits.acquire(ready, 1))
 		completeT = issueT + int64(cfg.IntMulLat)
-		s.addEvent(StructFXU, issueT, 2)
+		weight = 2
 	case trace.ClassIntDiv:
 		occ := int64(cfg.IntDivLat)
-		issueT = s.intUnits.acquire(ready, occ)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.intUnits.acquire(ready, occ))
 		completeT = issueT + occ
-		s.addEvent(StructFXU, issueT, 4)
+		weight = 4
 	case trace.ClassFPOp:
-		issueT = s.fpUnits.acquire(ready, 1)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.fpUnits.acquire(ready, 1))
 		completeT = issueT + int64(cfg.FPLat)
-		s.addEvent(StructFPU, issueT, 1)
+		unit = StructFPU
 	case trace.ClassFPDiv:
 		occ := int64(cfg.FPDivLat)
-		issueT = s.fpUnits.acquire(ready, occ)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.fpUnits.acquire(ready, occ))
 		completeT = issueT + occ
-		s.addEvent(StructFPU, issueT, 3)
+		unit, weight = StructFPU, 3
 	case trace.ClassLoad:
-		issueT = s.lsUnits.acquire(ready, 1)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.lsUnits.acquire(ready, 1))
 		lat := int64(cfg.L1Lat)
 		if !s.l1d.Access(in.Addr) {
 			if s.l2.Access(in.Addr) {
@@ -345,22 +371,20 @@ func (s *Simulator) step(in *trace.Instruction) {
 			}
 		}
 		completeT = issueT + lat
-		s.addEvent(StructLSU, issueT, 1)
+		unit = StructLSU
 	case trace.ClassStore:
-		issueT = s.lsUnits.acquire(ready, 1)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.lsUnits.acquire(ready, 1))
 		// Stores complete into the store queue at L1 latency; the line is
 		// allocated (write-allocate) for cache-content fidelity.
 		if !s.l1d.Access(in.Addr) {
 			s.l2.Access(in.Addr)
 		}
 		completeT = issueT + int64(cfg.L1Lat)
-		s.addEvent(StructLSU, issueT, 1)
+		unit = StructLSU
 	case trace.ClassBranch:
-		issueT = s.brUnits.acquire(ready, 1)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.brUnits.acquire(ready, 1))
 		completeT = issueT + 1
-		s.addEvent(StructBXU, issueT, 1)
+		unit = StructBXU
 		s.branches++
 		if !s.pred.PredictAndUpdate(in.PC, in.Taken, in.Target) {
 			s.mispredicts++
@@ -371,18 +395,17 @@ func (s *Simulator) step(in *trace.Instruction) {
 			}
 		}
 	case trace.ClassLCR:
-		issueT = s.lcrUnits.acquire(ready, 1)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.lcrUnits.acquire(ready, 1))
 		completeT = issueT + 1
-		s.addEvent(StructBXU, issueT, 1)
+		unit = StructBXU
 	default:
 		// Unknown classes execute as single-cycle integer ops.
-		issueT = s.intUnits.acquire(ready, 1)
-		issueT = s.issueBW.reserve(issueT)
+		issueT = s.issueBW.reserve(s.intUnits.acquire(ready, 1))
 		completeT = issueT + 1
-		s.addEvent(StructFXU, issueT, 1)
 	}
-	s.addEvent(StructISU, issueT, 1)
+	iv := s.interval(issueT)
+	iv.events[unit] += weight
+	iv.events[StructISU]++
 
 	if in.Dest != trace.RegNone {
 		s.regReady[in.Dest] = completeT
@@ -396,7 +419,7 @@ func (s *Simulator) step(in *trace.Instruction) {
 	retT = s.retireBW.reserve(retT)
 	s.lastRetire = retT
 	s.retired++
-	s.addRetired(retT)
+	s.interval(retT).retired++
 
 	// ---- Release structural resources at retirement.
 	s.rob.allocate(retT)
@@ -411,28 +434,39 @@ func (s *Simulator) step(in *trace.Instruction) {
 	}
 }
 
-// addEvent accumulates weighted activity events into the 1µs interval that
-// contains the given cycle.
-func (s *Simulator) addEvent(st StructureID, cycle int64, weight float64) {
-	idx := int(cycle / s.cyclesPerUs)
-	s.ensureSample(idx)
-	s.samples[idx].AF[st] += weight
-	s.totalEvents[st] += weight
+// intervalCounts holds the raw event counts of one 1µs interval: weighted
+// events per structure and retired instructions. Validate bounds the
+// interval length so no count can overflow.
+type intervalCounts struct {
+	events  [NumStructures]uint32
+	retired uint32
 }
 
-func (s *Simulator) addRetired(cycle int64) {
-	idx := int(cycle / s.cyclesPerUs)
-	s.ensureSample(idx)
-	s.samples[idx].Retired++
-}
-
-func (s *Simulator) ensureSample(idx int) {
-	for len(s.samples) <= idx {
-		s.samples = append(s.samples, ActivitySample{Cycles: s.cyclesPerUs})
+// interval returns the counts of the 1µs interval that contains cycle.
+func (s *Simulator) interval(cycle int64) *intervalCounts {
+	if cycle >= s.ivLo && cycle < s.ivHi {
+		return s.iv
 	}
+	return s.seekInterval(cycle)
+}
+
+// seekInterval points the interval cache at the interval that contains
+// cycle, growing the interval list to reach it.
+func (s *Simulator) seekInterval(cycle int64) *intervalCounts {
+	idx := cycle / s.cyclesPerUs
+	for int64(len(s.intervals)) <= idx {
+		s.intervals = append(s.intervals, intervalCounts{})
+	}
+	s.iv = &s.intervals[idx]
+	s.ivLo = idx * s.cyclesPerUs
+	s.ivHi = s.ivLo + s.cyclesPerUs
+	return s.iv
 }
 
 // result finalises interval activity factors and whole-run statistics.
+// Event weights are integers, so the counts equal the float sums of the
+// events they record, and each activity factor is the same float division
+// of that sum by capacity × cycles.
 func (s *Simulator) result() Result {
 	totalCycles := s.lastRetire + 1
 	// Trim trailing intervals beyond the retirement horizon and normalise
@@ -441,24 +475,22 @@ func (s *Simulator) result() Result {
 	if totalCycles%s.cyclesPerUs != 0 {
 		nIntervals++
 	}
-	if nIntervals > len(s.samples) {
-		nIntervals = len(s.samples)
+	if nIntervals > len(s.intervals) {
+		nIntervals = len(s.intervals)
 	}
-	samples := s.samples[:nIntervals]
+	samples := make([]ActivitySample, nIntervals)
 	for i := range samples {
-		cyc := samples[i].Cycles
+		cyc := s.cyclesPerUs
 		if i == len(samples)-1 {
 			if rem := totalCycles - int64(i)*s.cyclesPerUs; rem > 0 && rem < cyc {
 				cyc = rem
-				samples[i].Cycles = rem
 			}
 		}
+		c := &s.intervals[i]
+		samples[i].Cycles = cyc
+		samples[i].Retired = int64(c.retired)
 		for st := 0; st < NumStructures; st++ {
-			af := samples[i].AF[st] / (s.caps[st] * float64(cyc))
-			if af > 1 {
-				af = 1
-			}
-			samples[i].AF[st] = af
+			samples[i].AF[st] = min(float64(c.events[st])/(s.caps[st]*float64(cyc)), 1)
 		}
 	}
 	res := Result{
@@ -474,12 +506,14 @@ func (s *Simulator) result() Result {
 		L2Accesses:   s.l2.Accesses(),
 		L2Misses:     s.l2.Misses(),
 	}
-	for st := 0; st < NumStructures; st++ {
-		af := s.totalEvents[st] / (s.caps[st] * float64(totalCycles))
-		if af > 1 {
-			af = 1
+	var total [NumStructures]uint64
+	for i := range s.intervals {
+		for st, n := range s.intervals[i].events {
+			total[st] += uint64(n)
 		}
-		res.AvgAF[st] = af
+	}
+	for st := 0; st < NumStructures; st++ {
+		res.AvgAF[st] = min(float64(total[st])/(s.caps[st]*float64(totalCycles)), 1)
 	}
 	return res
 }

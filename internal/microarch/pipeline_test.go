@@ -1,6 +1,10 @@
 package microarch
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/ramp-sim/ramp/internal/trace"
@@ -56,6 +60,10 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"zero rob", func(c *Config) { c.ROBSize = 0 }},
 		{"negative penalty", func(c *Config) { c.MispredictPenalty = -1 }},
 		{"zero frequency", func(c *Config) { c.FrequencyGHz = 0 }},
+		{"sub-cycle interval", func(c *Config) { c.FrequencyGHz = 0.0005 }},
+		{"NaN frequency", func(c *Config) { c.FrequencyGHz = math.NaN() }},
+		{"infinite frequency", func(c *Config) { c.FrequencyGHz = math.Inf(1) }},
+		{"interval counter overflow", func(c *Config) { c.FrequencyGHz = 1e6 }},
 		{"regs too small", func(c *Config) { c.IntRegs = 32 }},
 		{"bad cache", func(c *Config) { c.L1D.SizeBytes = 1000 }},
 		{"latency order", func(c *Config) { c.MemLat = 1 }},
@@ -399,6 +407,107 @@ func TestUnitPoolPrefersIdleUnit(t *testing.T) {
 	}
 	if got := u.acquire(5, 1); got != 6 {
 		t.Fatalf("third acquire = %d, want 6 (both busy at 5)", got)
+	}
+}
+
+// TestInorderBWMatchesRing drives an inorderBW and a bwRing with the same
+// nondecreasing requests — mostly repeats of the last granted cycle, which
+// saturate it, plus short steps and jumps past the ring's length — and
+// requires the same granted cycles.
+func TestInorderBWMatchesRing(t *testing.T) {
+	steps := []int64{0, 0, 0, 0, 1, 2, 7, _bwRingSize + 3}
+	for limit := 1; limit <= 8; limit++ {
+		rng := rand.New(rand.NewSource(int64(limit)))
+		in, ring := newInorderBW(limit), newBWRing(limit)
+		var last int64
+		for i := 0; i < 100_000; i++ {
+			req := last + steps[rng.Intn(len(steps))]
+			got, want := in.reserve(req), ring.reserve(req)
+			if got != want {
+				t.Fatalf("limit %d request %d at %d: granted %d, want %d", limit, i, req, got, want)
+			}
+			last = got
+		}
+	}
+}
+
+// acquireTwoPass is unitPool.acquire as two scans: latest idle unit first,
+// else the earliest-free unit, lowest index on ties.
+func acquireTwoPass(free []int64, t, occ int64) int64 {
+	best := -1
+	for i, f := range free {
+		if f <= t && (best == -1 || f > free[best]) {
+			best = i
+		}
+	}
+	if best == -1 {
+		best = 0
+		for i, f := range free {
+			if f < free[best] {
+				best = i
+			}
+		}
+		t = free[best]
+	}
+	free[best] = t + occ
+	return t
+}
+
+func TestUnitPoolTieBreaks(t *testing.T) {
+	cases := []struct {
+		name       string
+		free       []int64
+		t          int64
+		wantIssue  int64
+		wantFreeAt []int64
+	}{
+		{"equal idle frees take the first", []int64{3, 3, 1}, 5, 5, []int64{6, 3, 1}},
+		{"latest idle beats an earlier idle", []int64{1, 4, 4}, 5, 5, []int64{1, 6, 4}},
+		{"equal earliest frees take the first", []int64{9, 7, 7}, 5, 7, []int64{9, 8, 7}},
+		{"idle unit beats a busy lower index", []int64{9, 2}, 5, 5, []int64{9, 6}},
+		{"unit free exactly at t is idle", []int64{8, 5}, 5, 5, []int64{8, 6}},
+	}
+	for _, tc := range cases {
+		u := unitPool{free: append([]int64(nil), tc.free...)}
+		if got := u.acquire(tc.t, 1); got != tc.wantIssue {
+			t.Errorf("%s: issue %d, want %d", tc.name, got, tc.wantIssue)
+		}
+		if !slices.Equal(u.free, tc.wantFreeAt) {
+			t.Errorf("%s: free %v, want %v", tc.name, u.free, tc.wantFreeAt)
+		}
+	}
+	// Random pools with many ties against the two-scan form.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		u := newUnitPool(1 + rng.Intn(4))
+		for j := range u.free {
+			u.free[j] = int64(rng.Intn(6))
+		}
+		ref := append([]int64(nil), u.free...)
+		req, occ := int64(rng.Intn(6)), int64(1+rng.Intn(3))
+		before := append([]int64(nil), u.free...)
+		if got, want := u.acquire(req, occ), acquireTwoPass(ref, req, occ); got != want || !slices.Equal(u.free, ref) {
+			t.Fatalf("pool %v acquire(%d, %d): issue %d free %v, want %d free %v",
+				before, req, occ, got, u.free, want, ref)
+		}
+	}
+}
+
+// TestSimulatorFootprint bounds what a default simulator allocates up
+// front; every concurrent timing stage holds one.
+func TestSimulatorFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sim, err := NewSimulator(DefaultConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(sim)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewSimulator allocated %d bytes", got)
+	if got > 1<<20 {
+		t.Fatalf("NewSimulator allocated %d bytes, want at most 1 MiB", got)
 	}
 }
 

@@ -85,6 +85,37 @@ func (r *lfSource) unit() int64 {
 	}
 }
 
+// geometric returns the count a run of unit draws reaches, drawing and
+// returning exactly what
+//
+//	d := 1
+//	for d < maxD && r.unit() >= stop {
+//		d++
+//	}
+//
+// would, but scanning the register with a local position: one draw costs
+// a load, a mask and two compares.
+func (r *lfSource) geometric(stop int64, maxD int) int {
+	d, pos := 1, r.pos
+	for d < maxD {
+		if pos == lfLen {
+			r.refill()
+			pos = 0
+		}
+		v := int64(r.vec[pos]) & (1<<63 - 1)
+		pos++
+		if v >= float64Limit {
+			continue // unit resamples
+		}
+		if v < stop {
+			break
+		}
+		d++
+	}
+	r.pos = pos
+	return d
+}
+
 // Float64 returns the next value as rand.Rand.Float64 would.
 func (r *lfSource) Float64() float64 {
 	return float64(r.unit()) / (1 << 63)

@@ -202,3 +202,40 @@ func TestGeneratorThresholdsMatchFloat64(t *testing.T) {
 		}
 	}
 }
+
+// geometricLoop is the per-draw loop lfSource.geometric replaces.
+func geometricLoop(r *lfSource, stop int64, maxD int) int {
+	d := 1
+	for d < maxD && r.unit() >= stop {
+		d++
+	}
+	return d
+}
+
+// TestGeometricMatchesLoop checks that the bulk scan returns the loop's
+// count and leaves the source where the loop would, across block refills,
+// at the stop extremes, and over values unit resamples.
+func TestGeometricMatchesLoop(t *testing.T) {
+	stops := []int64{0, 1, 1 << 59, 1 << 61, 1 << 62, float64Limit - 1, float64Limit}
+	for _, seed := range []int64{0, 1, 42} {
+		var got, want lfSource
+		got.seed(seed)
+		// Plant values at and above the resample limit so both paths must
+		// skip them; the recurrence carries them into later blocks.
+		for i := 0; i < lfLen; i += 37 {
+			got.vec[i] = float64Limit + uint64(i)%512
+		}
+		want = got
+		pick := rand.New(rand.NewSource(seed))
+		for i := 0; i < 200_000; i++ {
+			stop := stops[pick.Intn(len(stops))]
+			maxD := 1 + pick.Intn(20)
+			if a, b := got.geometric(stop, maxD), geometricLoop(&want, stop, maxD); a != b {
+				t.Fatalf("seed %d call %d: geometric(%d, %d) = %d, want %d", seed, i, stop, maxD, a, b)
+			}
+			if got != want {
+				t.Fatalf("seed %d call %d: source state diverged", seed, i)
+			}
+		}
+	}
+}

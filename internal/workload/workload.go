@@ -546,33 +546,45 @@ func (g *Generator) SkipWarm(n int64, w trace.MemWarmer) (int64, error) {
 	if g.prof.PhaseInstrs > 0 {
 		coldOdd, warmOdd = mkThresh(g.prof.PhaseMemScale)
 	}
+	// The replay runs in blocks of skipBlock positions: a first pass hashes
+	// every position and compacts the memory accesses without branching on
+	// the draw, and a second replays just those, in position order.
 	const golden = 0x9e3779b97f4a7c15
 	x := uint64(g.prof.Seed) + uint64(g.produced)*golden
-	for i := int64(0); i < n; i++ {
-		h := splitmix64(x)
-		x += golden
-		if h>>11 >= memThresh {
-			continue
+	var hits [skipBlock]uint64
+	var offs [skipBlock]uint8
+	for base := int64(0); base < n; base += skipBlock {
+		m := min(n-base, skipBlock)
+		k := 0
+		for j := range int(m) {
+			h := splitmix64(x)
+			x += golden
+			hits[k&(skipBlock-1)], offs[k&(skipBlock-1)] = h, uint8(j)
+			// Both sides are below 2^63, so the difference's sign bit is
+			// h>>11 < memThresh.
+			k += int((h>>11 - memThresh) >> 63)
 		}
-		coldT, warmT := coldEven, warmEven
-		if g.prof.PhaseInstrs > 0 && ((g.produced+i)/g.prof.PhaseInstrs)&1 == 1 {
-			coldT, warmT = coldOdd, warmOdd
+		for j, h := range hits[:k] {
+			coldT, warmT := coldEven, warmEven
+			if g.prof.PhaseInstrs > 0 && ((g.produced+base+int64(offs[j]))/g.prof.PhaseInstrs)&1 == 1 {
+				coldT, warmT = coldOdd, warmOdd
+			}
+			store := h&(1<<11-1) < storeThresh
+			h2 := splitmix64(h)
+			var addr uint64
+			switch r := h2 >> 11; {
+			case r < coldT:
+				g.coldPtr += 64
+				addr = coldBase + g.coldPtr&(1<<30-1)
+			case r < warmT:
+				hi, _ := bits.Mul64(splitmix64(h2), g.prof.WarmBytes)
+				addr = warmBase + hi&^7
+			default:
+				hi, _ := bits.Mul64(splitmix64(h2), g.prof.HotBytes)
+				addr = hotBase + hi&^7
+			}
+			w.WarmAccess(addr, store)
 		}
-		store := h&(1<<11-1) < storeThresh
-		h2 := splitmix64(h)
-		var addr uint64
-		switch r := h2 >> 11; {
-		case r < coldT:
-			g.coldPtr += 64
-			addr = coldBase + g.coldPtr&(1<<30-1)
-		case r < warmT:
-			hi, _ := bits.Mul64(splitmix64(h2), g.prof.WarmBytes)
-			addr = warmBase + hi&^7
-		default:
-			hi, _ := bits.Mul64(splitmix64(h2), g.prof.HotBytes)
-			addr = hotBase + hi&^7
-		}
-		w.WarmAccess(addr, store)
 	}
 	g.produced += n
 	if g.remaining > 0 {
@@ -580,6 +592,11 @@ func (g *Generator) SkipWarm(n int64, w trace.MemWarmer) (int64, error) {
 	}
 	return n, nil
 }
+
+// skipBlock is the number of skipped positions SkipWarm hashes per pass;
+// a power of two no larger than 256, so an offset fits a byte and a mask
+// keeps compaction writes in bounds.
+const skipBlock = 256
 
 // splitmix64 is the SplitMix64 finaliser: a bijective mixer cheap enough
 // to derive several independent draws per skipped instruction.
@@ -728,10 +745,7 @@ func (g *Generator) pickSource(fp bool) uint16 {
 	if g.rng.unit() < g.draw.near {
 		// Geometric distance with the profile's mean, capped by the
 		// recent-ring size.
-		d := 1
-		for d < _ringLen && g.rng.unit() >= g.draw.geoStop {
-			d++
-		}
+		d := g.rng.geometric(g.draw.geoStop, _ringLen)
 		return recent[(pos-d)&(_ringLen-1)]
 	}
 	// Intn(32): a power-of-two bound masks the draw's top 31 bits.
