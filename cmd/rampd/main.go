@@ -169,7 +169,6 @@ func runCtx(ctx context.Context, out io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	srv.Publish("rampd")
 
 	// The profiler listens on its own socket so /debug/pprof never rides
 	// the public API address; registration is explicit on a fresh mux —

@@ -205,10 +205,9 @@ func TestRampdFlagErrors(t *testing.T) {
 	}
 }
 
-// TestRampdRestartInProcess runs a second daemon in the same test binary.
-// runCtx publishes metrics under the fixed expvar name "rampd", so this
-// exercises the duplicate-safe publication path: a second instance must
-// take over the name, not panic.
+// TestRampdRestartInProcess runs a second daemon in the same test binary:
+// nothing runCtx sets up may be process-global, so a second instance must
+// start and serve cleanly after the first.
 func TestRampdRestartInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts a real server")

@@ -23,7 +23,7 @@ var DurationBuckets = []float64{
 // scrape-time bridges (CounterFunc/GaugeFunc) over pre-existing stat
 // sources. All instruments are safe for concurrent use; registration
 // methods are idempotent per (name, kind) and panic on a kind conflict,
-// which — like expvar.Publish — indicates a programming error.
+// which indicates a programming error.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -338,6 +338,24 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // name, in order), creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.seriesFor(zipLabels(v.labels, values)).ctr
+}
+
+// Each calls fn with the label values and counter of every series created
+// so far, in creation order.
+func (v *CounterVec) Each(fn func(values []string, c *Counter)) {
+	v.f.mu.Lock()
+	rows := make([]*series, 0, len(v.f.order))
+	for _, k := range v.f.order {
+		rows = append(rows, v.f.series[k])
+	}
+	v.f.mu.Unlock()
+	for _, s := range rows {
+		values := make([]string, len(s.labels))
+		for i, l := range s.labels {
+			values[i] = l.Value
+		}
+		fn(values, s.ctr)
+	}
 }
 
 // GaugeVec is a gauge family with a fixed label-name set.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -68,6 +69,21 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 	if empty := reg.Histogram("ramp_empty_seconds", "", nil).Quantile(0.9); empty != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", empty)
+	}
+}
+
+// TestCounterVecEach visits every created series once, in creation
+// order, with its label values and live counter.
+func TestCounterVecEach(t *testing.T) {
+	vec := NewRegistry().CounterVec("ramp_responses_total", "responses", "code", "kind")
+	vec.With("500", "x").Add(2)
+	vec.With("200", "y").Inc()
+	var got []string
+	vec.Each(func(values []string, c *Counter) {
+		got = append(got, fmt.Sprintf("%s=%d", strings.Join(values, ","), c.Value()))
+	})
+	if want := "500,x=2 200,y=1"; strings.Join(got, " ") != want {
+		t.Fatalf("Each visited %v, want %s", got, want)
 	}
 }
 

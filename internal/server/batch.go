@@ -229,7 +229,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.metrics.Batches.Add(1)
 	s.obs.batches.Inc()
 	s.logger.Info("batch submitted",
 		"request_id", obs.RequestIDFrom(r.Context()),
@@ -372,7 +371,6 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request, batch
 			fmt.Errorf("unknown batch %q", batchID))
 		return
 	}
-	s.metrics.Streams.Add(1)
 	s.obs.streams.Inc()
 
 	sw := s.newStreamWriter(w, flusher)
@@ -540,7 +538,6 @@ func (s *Server) runBatchItem(ctx context.Context, p batchPayload) (any, string,
 			return nil, obs.ResultMiss, fstats, err
 		}
 		s.cache.Put(mcKey, res)
-		s.metrics.MCReplicas.Add(int64(res.TotalReplicas))
 		s.obs.mcReplicas.Add(uint64(res.TotalReplicas))
 		return res, obs.ResultMiss, fstats, nil
 	default:

@@ -1,38 +1,41 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
-	"time"
 )
 
-// fakeClock is a manually advanced time source.
-type fakeClock struct{ t time.Time }
+// cacheKey maps a label to a key of the shape the result cache accepts:
+// a hex SHA-256 digest, like the study keys from sim.StudyKey.
+func cacheKey(label string) string {
+	sum := sha256.Sum256([]byte(label))
+	return hex.EncodeToString(sum[:])
+}
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_000_000, 0)} }
-
-// TestCacheLRUEviction proves the entry bound holds and eviction is
-// least-recently-used, counting Get promotions as use.
+// TestCacheLRUEviction proves the server's result cache holds to
+// Config.CacheSize and evicts least-recently-used, counting Get
+// promotions as use.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(3, 0, nil)
+	s := newTestServer(t, func(c *Config) { c.CacheSize = 3 })
+	c := s.cache
 	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		c.Put(cacheKey(fmt.Sprint("k", i)), i)
 	}
 	// Touch k0 so k1 becomes the eviction candidate.
-	if _, ok := c.Get("k0"); !ok {
+	if _, ok := c.Get(cacheKey("k0")); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
-	c.Put("k3", 3)
+	c.Put(cacheKey("k3"), 3)
 	if c.Len() != 3 {
 		t.Fatalf("cache holds %d entries, want 3", c.Len())
 	}
-	if _, ok := c.Get("k1"); ok {
+	if _, ok := c.Get(cacheKey("k1")); ok {
 		t.Error("k1 survived eviction despite being least recently used")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Get(cacheKey(k)); !ok {
 			t.Errorf("%s evicted unexpectedly", k)
 		}
 	}
@@ -41,44 +44,26 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheTTLExpiry proves entries expire on the TTL boundary and are
-// reported as expired misses.
-func TestCacheTTLExpiry(t *testing.T) {
-	clk := newFakeClock()
-	c := NewCache(8, time.Minute, clk.now)
-	c.Put("k", "v")
-	clk.advance(59 * time.Second)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("entry expired before its TTL")
-	}
-	clk.advance(2 * time.Second)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry survived past its TTL")
-	}
-	st := c.Stats()
-	if st.Expired != 1 {
-		t.Errorf("expired = %d, want 1", st.Expired)
-	}
-	if st.Entries != 0 {
-		t.Errorf("entries = %d, want 0", st.Entries)
-	}
-	// Re-putting restarts the TTL.
-	c.Put("k", "v2")
-	clk.advance(30 * time.Second)
-	if v, ok := c.Get("k"); !ok || v != "v2" {
-		t.Error("refreshed entry not served")
-	}
-}
-
-// TestCacheHitRatioCounters checks hit/miss accounting.
+// TestCacheHitRatioCounters checks the result cache's hit/miss accounting
+// and that /metrics reports the same counts and their ratio.
 func TestCacheHitRatioCounters(t *testing.T) {
-	c := NewCache(4, 0, nil)
-	c.Put("a", 1)
-	c.Get("a")
-	c.Get("a")
-	c.Get("b")
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", st.Hits, st.Misses)
+	s := newTestServer(t, func(c *Config) { c.CacheSize = 4 })
+	s.cache.Put(cacheKey("a"), 1)
+	s.cache.Get(cacheKey("a"))
+	s.cache.Get(cacheKey("a"))
+	s.cache.Get(cacheKey("b"))
+	st := s.cache.Stats()
+	if hits := st.MemHits + st.DiskHits; hits != 2 || st.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 2/1", hits, st.Misses)
+	}
+	cache, ok := s.metricsSnapshot()["cache"].(map[string]any)
+	if !ok {
+		t.Fatal("metrics snapshot has no cache block")
+	}
+	if cache["hits"] != int64(2) || cache["misses"] != int64(1) {
+		t.Errorf("metrics hits/misses = %v/%v, want 2/1", cache["hits"], cache["misses"])
+	}
+	if r := cache["hit_ratio"]; r != 2.0/3.0 {
+		t.Errorf("metrics hit_ratio = %v, want %v", r, 2.0/3.0)
 	}
 }

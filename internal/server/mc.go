@@ -219,7 +219,6 @@ func (s *Server) handleStudyMC(w http.ResponseWriter, r *http.Request) {
 	// Whole-result cache hit: replay the cell summaries instantly, no
 	// admission slot.
 	if v, ok := s.cache.Get(mcKey); ok {
-		s.metrics.MCStudies.Add(1)
 		s.obs.mcStudies.Inc()
 		res := v.(*sim.MCResult)
 		if s.ledger != nil {
@@ -249,7 +248,6 @@ func (s *Server) handleStudyMC(w http.ResponseWriter, r *http.Request) {
 			errors.New("server overloaded, retry later"))
 		return
 	}
-	s.metrics.MCStudies.Add(1)
 	s.obs.mcStudies.Inc()
 	s.logger.Info("mc start", "request_id", reqID, "key", mcKey,
 		"study_key", studyKey, "samples", mcfg.Samples, "model", mcfg.Model)
@@ -353,7 +351,6 @@ func (s *Server) handleStudyMC(w http.ResponseWriter, r *http.Request) {
 			s.traces.Add(obs.TraceEntry{
 				Key: mcKey, RequestID: reqID, CapturedAt: s.now(), Spans: collector.Spans()})
 			s.cache.Put(mcKey, res)
-			s.metrics.MCReplicas.Add(int64(res.TotalReplicas))
 			s.obs.mcReplicas.Add(uint64(res.TotalReplicas))
 			meta := StudyMeta{Key: mcKey, Cache: "miss",
 				ComputeMS: float64(s.now().Sub(start)) / float64(time.Millisecond)}

@@ -223,7 +223,7 @@ func TestMCStreamSharesStudyFlight(t *testing.T) {
 	// Both streams must be waiting on the one blocked flight before it is
 	// released: the coalesce counter ticks when the second one joins.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.Coalesced.Value() == 0 {
+	for s.obs.coalesced.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("second MC request never joined the study flight")
 		}
@@ -280,11 +280,11 @@ func TestMCStreamCacheReplay(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("simulations run = %d, want 1", got)
 	}
-	if got := s.metrics.MCStudies.Value(); got != 2 {
+	if got := s.obs.mcStudies.Value(); got != 2 {
 		t.Errorf("mc_studies_total = %d, want 2", got)
 	}
 	// Replicas are counted once: replays draw nothing.
-	if got := s.metrics.MCReplicas.Value(); got != 1000 {
+	if got := s.obs.mcReplicas.Value(); got != 1000 {
 		t.Errorf("mc_replicas_total = %d, want 1000", got)
 	}
 }

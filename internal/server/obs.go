@@ -10,10 +10,11 @@ import (
 )
 
 // serverObs is the server's obs.Registry instrument set: everything
-// /metrics?format=prometheus exposes. Push-style instruments (counters,
-// histograms) are updated on the hot paths; pre-existing stat sources
-// (result cache, scheduler counters, stage cache) are bridged at scrape
-// time so their state is never double-counted.
+// /metrics?format=prometheus exposes, and the source of the JSON /metrics
+// counters too, so each event is counted exactly once. Push-style
+// instruments (counters, histograms) are updated on the hot paths;
+// pre-existing stat sources (result cache, scheduler counters, stage
+// cache) are bridged at scrape time so their state is never double-counted.
 type serverObs struct {
 	reg *obs.Registry
 
@@ -139,7 +140,10 @@ func (o *serverObs) bindServer(s *Server) {
 	reg.GaugeFunc("ramp_result_cache_entries", "Resident whole-study results.", nil,
 		func() float64 { return float64(s.cache.Stats().Entries) })
 	reg.CounterFunc("ramp_result_cache_hits_total", "Whole-study cache hits.", nil,
-		func() float64 { return float64(s.cache.Stats().Hits) })
+		func() float64 {
+			st := s.cache.Stats()
+			return float64(st.MemHits + st.DiskHits)
+		})
 	reg.CounterFunc("ramp_result_cache_misses_total", "Whole-study cache misses.", nil,
 		func() float64 { return float64(s.cache.Stats().Misses) })
 

@@ -157,7 +157,6 @@ func (s *Server) handleOpsTail(w http.ResponseWriter, r *http.Request) {
 			errors.New("streaming unsupported by connection"))
 		return
 	}
-	s.metrics.Streams.Add(1)
 	s.obs.streams.Inc()
 
 	// Subscribe before the replay snapshot so no record falls between

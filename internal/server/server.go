@@ -5,9 +5,10 @@
 //
 // Three mechanisms carry the load:
 //
-//   - a content-addressed result cache (LRU + TTL) keyed by the canonical
-//     hash of (Config, profile set, technology nodes) — sim.StudyKey — so a
-//     repeated request is served from memory in microseconds;
+//   - a content-addressed result cache (a memory-only internal/store LRU
+//     with TTL) keyed by the canonical hash of (Config, profile set,
+//     technology nodes) — sim.StudyKey — so a repeated request is served
+//     from memory in microseconds;
 //   - singleflight request coalescing, so N concurrent identical requests
 //     trigger exactly one simulation on the scheduler pool and share its
 //     result;
@@ -39,6 +40,7 @@ import (
 	"github.com/ramp-sim/ramp/internal/scaling"
 	"github.com/ramp-sim/ramp/internal/sched"
 	"github.com/ramp-sim/ramp/internal/sim"
+	"github.com/ramp-sim/ramp/internal/store"
 	"github.com/ramp-sim/ramp/internal/workload"
 )
 
@@ -197,10 +199,9 @@ type Config struct {
 type Server struct {
 	cfg        Config
 	registry   *workload.Registry
-	cache      *Cache
+	cache      *store.Store[any] // whole-study and MC results
 	stageCache *sim.StageCache
 	flights    *flightGroup
-	metrics    *Metrics
 	obs        *serverObs
 	logger     *slog.Logger
 	traces     *obs.TraceRing
@@ -294,15 +295,21 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: stage cache: %w", err)
 	}
+	// Results stay memory-only: a spilled study would need a model-version
+	// salt in its key to be safe to serve from a later build.
+	resultCache, err := store.New[any]("result",
+		store.Options{MaxEntries: cfg.CacheSize, TTL: cfg.CacheTTL, Now: now}, store.Codec[any]{})
+	if err != nil {
+		return nil, fmt.Errorf("server: result cache: %w", err)
+	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	schedStats := sched.NewCounters()
 	s := &Server{
 		cfg:        cfg,
 		registry:   cfg.Registry,
-		cache:      NewCache(cfg.CacheSize, cfg.CacheTTL, now),
+		cache:      resultCache,
 		stageCache: stageCache,
 		flights:    newFlightGroup(),
-		metrics:    NewMetrics(),
 		obs:        so,
 		logger:     logger,
 		traces:     obs.NewTraceRing(cfg.TraceRetain),
@@ -338,10 +345,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: job queue: %w", err)
 	}
 	so.bindServer(s)
-	s.flights.onCoalesce = func() {
-		s.metrics.Coalesced.Add(1)
-		so.coalesced.Inc()
-	}
+	s.flights.onCoalesce = so.coalesced.Inc
 	s.mux.Handle("/v1/study", s.instrument("/v1/study", s.handleStudy))
 	s.mux.Handle("/v1/study/stream", s.instrument("/v1/study/stream", s.handleStudyStream))
 	s.mux.Handle("/v1/study/mc", s.instrument("/v1/study/mc", s.handleStudyMC))
@@ -362,9 +366,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the root HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics exposes the server's counters (read-only use).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // SchedStats exposes the shared scheduler counters.
 func (s *Server) SchedStats() sched.Stats { return s.schedStats }
@@ -452,20 +453,13 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		}
 		r = r.WithContext(ctx)
 
-		s.metrics.Requests.Add(endpoint, 1)
 		s.obs.httpRequests.With(endpoint).Inc()
-		s.metrics.InFlightHTTP.Add(1)
 		s.obs.inflight.Add(1)
-		defer func() {
-			s.metrics.InFlightHTTP.Add(-1)
-			s.obs.inflight.Add(-1)
-		}()
+		defer s.obs.inflight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		dur := s.now().Sub(start)
-		s.metrics.Status.Add(strconv.Itoa(sw.status), 1)
 		s.obs.httpResponses.With(strconv.Itoa(sw.status)).Inc()
-		s.metrics.ObserveLatency(dur)
 		s.obs.httpLatency.ObserveExemplar(dur.Seconds(), obs.Label{Name: "trace_id", Value: tc.TraceID})
 		s.logger.Info("request",
 			"request_id", reqID,
@@ -914,7 +908,7 @@ func (s *Server) studyFlight(ctx context.Context, cfg sim.Config, profiles []wor
 	v, err, coalesced := s.flights.Do(ctx, s.baseCtx, key, func(fctx context.Context) (any, error) {
 		// Double-check the cache: a flight that completed between our
 		// lookup and this leadership election already has the answer.
-		if v, ok := s.cache.peek(key); ok {
+		if v, ok := s.cache.Peek(key); ok {
 			return v, nil
 		}
 		if admit {
@@ -930,7 +924,6 @@ func (s *Server) studyFlight(ctx context.Context, cfg sim.Config, profiles []wor
 			fctx, cancel = context.WithTimeout(fctx, s.cfg.ComputeTimeout)
 			defer cancel()
 		}
-		s.metrics.Studies.Add(1)
 		s.obs.studies.Inc()
 		s.logger.Info("study start", "request_id", reqID, "key", key)
 		collector := obs.NewCollector(s.cfg.TraceSpanLimit)
@@ -1028,7 +1021,6 @@ func (s *Server) retryAfter() time.Duration {
 func (s *Server) writeRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After",
 		strconv.Itoa(int((s.retryAfter()+time.Second-1)/time.Second)))
-	s.metrics.Shed.Add(1)
 	s.obs.shed.Inc()
 }
 

@@ -103,7 +103,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	}
 	// Give the second request time to join the open flight, then let the
 	// one simulation finish.
-	for s.metrics.Coalesced.Value() == 0 {
+	for s.obs.coalesced.Value() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -115,7 +115,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("simulations run = %d, want 1", got)
 	}
-	if got := s.metrics.Coalesced.Value(); got != 1 {
+	if got := s.obs.coalesced.Value(); got != 1 {
 		t.Errorf("coalesce counter = %d, want 1", got)
 	}
 	if metas[0].Key == "" || metas[0].Key != metas[1].Key {
@@ -137,8 +137,8 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("cache hit re-ran the simulation (calls=%d)", got)
 	}
-	if st := s.cache.Stats(); st.Hits < 1 {
-		t.Errorf("cache hits = %d, want >=1", st.Hits)
+	if st := s.cache.Stats(); st.MemHits < 1 {
+		t.Errorf("cache hits = %d, want >=1", st.MemHits)
 	}
 }
 
@@ -184,8 +184,8 @@ func TestHundredConcurrentIdenticalRequests(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("simulations run = %d, want 1", got)
 	}
-	hits := s.cache.Stats().Hits
-	coalesced := s.metrics.Coalesced.Value()
+	hits := s.cache.Stats().MemHits
+	coalesced := int64(s.obs.coalesced.Value())
 	if total := coalesced + hits; total > n-1 || total < n-10 {
 		t.Errorf("coalesced(%d) + cache hits(%d) = %d, want ~%d", coalesced, hits, total, n-1)
 	}
@@ -226,7 +226,7 @@ func TestAdmissionQueueSheds(t *testing.T) {
 	if _, hasErr := body["error"]; !hasErr {
 		t.Error("429 body carries no error field")
 	}
-	if got := s.metrics.Shed.Value(); got != 1 {
+	if got := s.obs.shed.Value(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
 
@@ -414,7 +414,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if total < 2 {
 		t.Errorf("latency histogram holds %d observations, want >=2", total)
 	}
-	for _, name := range sortedBucketNames() {
+	for name := range m.Latency {
 		if strings.HasPrefix(name, "le_") && !strings.Contains(name, "ms") {
 			t.Errorf("malformed bucket label %q", name)
 		}

@@ -105,7 +105,6 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 
 	// Whole-study cache hit: replay the grid instantly, no admission slot.
 	if v, ok := s.cache.Get(key); ok {
-		s.metrics.Streams.Add(1)
 		s.obs.streams.Inc()
 		res := v.(*sim.StudyResult)
 		if s.ledger != nil {
@@ -134,9 +133,7 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 			errors.New("server overloaded, retry later"))
 		return
 	}
-	s.metrics.Streams.Add(1)
 	s.obs.streams.Inc()
-	s.metrics.Studies.Add(1)
 	s.obs.studies.Inc()
 	s.logger.Info("stream start", "request_id", reqID, "key", key)
 

@@ -8,7 +8,9 @@
 // optionally spill the encoded form to a directory, so a cold process (or
 // a CLI run) restarts with a warm cache. Disk I/O failures degrade to
 // cache misses: the store never fails a lookup or an insert because the
-// spill tier is unhealthy, it only counts the error.
+// spill tier is unhealthy, it only counts the error. A memory-only store
+// can also expire entries after a TTL, which is how rampd bounds the age
+// of its whole-study results.
 package store
 
 import (
@@ -18,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 )
 
 // Options bounds a Store.
@@ -32,6 +35,14 @@ type Options struct {
 	// called without the store lock held, from whatever goroutine performed
 	// the operation, and must be safe for concurrent use.
 	Observer func(Event)
+	// TTL, when positive, expires each entry that long after its latest
+	// Put; an expired entry is dropped and counted as a miss on its next
+	// Get. Only a memory-only store may expire entries: a spilled file
+	// would otherwise bring an expired artifact back.
+	TTL time.Duration
+	// Now overrides the clock TTL expiry reads, for tests; nil uses
+	// time.Now.
+	Now func() time.Time
 }
 
 // Event operation and outcome labels.
@@ -83,11 +94,13 @@ func JSONCodec[T any]() Codec[T] {
 
 // Stats is a consistent snapshot of a store's counters. MemHits and
 // DiskHits partition successful lookups; a disk hit re-admits the decoded
-// artifact to the memory tier.
+// artifact to the memory tier. Expired counts the lookups that found an
+// entry past its TTL; each is also a miss.
 type Stats struct {
 	Entries                     int
 	MemHits, DiskHits, Misses   int64
 	Puts, Evicted, DiskFailures int64
+	Expired                     int64
 }
 
 // Store is one artifact kind's cache. Create with New; the zero value is
@@ -101,7 +114,9 @@ type Store[T any] struct {
 	max     int
 	ll      *list.List // front = most recently used
 	items   map[string]*list.Element
-	dir     string // "" = memory only
+	dir     string        // "" = memory only
+	ttl     time.Duration // ≤0 = no expiry
+	now     func() time.Time
 	codec   Codec[T]
 	stats   Stats
 	observe func(Event) // nil = no observer
@@ -117,8 +132,15 @@ func (s *Store[T]) event(op, outcome string) {
 
 // entry is one resident artifact.
 type entry[T any] struct {
-	key string
-	val T
+	key     string
+	val     T
+	expires time.Time // zero = no expiry
+}
+
+// expiredLocked reports whether e is past its TTL; caller holds s.mu.
+// Entries of a store without TTL never read the clock.
+func (s *Store[T]) expiredLocked(e *entry[T]) bool {
+	return !e.expires.IsZero() && !s.now().Before(e.expires)
 }
 
 // New returns a store named name (its subdirectory under Options.Dir).
@@ -131,15 +153,24 @@ func New[T any](name string, opts Options, codec Codec[T]) (*Store[T], error) {
 	if max <= 0 {
 		max = 256
 	}
+	now := opts.Now
+	if now == nil {
+		now = time.Now
+	}
 	s := &Store[T]{
 		name:    name,
 		max:     max,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element),
+		ttl:     opts.TTL,
+		now:     now,
 		codec:   codec,
 		observe: opts.Observer,
 	}
 	if opts.Dir != "" {
+		if s.ttl > 0 {
+			return nil, fmt.Errorf("store %s: TTL expiry requires a memory-only store", name)
+		}
 		if codec.Encode == nil || codec.Decode == nil {
 			return nil, fmt.Errorf("store %s: disk spill requires a codec", name)
 		}
@@ -175,12 +206,23 @@ func (s *Store[T]) Get(key string) (T, bool) {
 	}
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		s.stats.MemHits++
-		v := el.Value.(*entry[T]).val
+		e := el.Value.(*entry[T])
+		if !s.expiredLocked(e) {
+			s.ll.MoveToFront(el)
+			s.stats.MemHits++
+			s.mu.Unlock()
+			s.event(OpGet, OutcomeHitMem)
+			return e.val, true
+		}
+		// Only memory-only stores expire, so there is no disk tier to
+		// consult: the expired entry is a miss.
+		delete(s.items, key)
+		s.ll.Remove(el)
+		s.stats.Expired++
+		s.stats.Misses++
 		s.mu.Unlock()
-		s.event(OpGet, OutcomeHitMem)
-		return v, true
+		s.event(OpGet, OutcomeMiss)
+		return zero, false
 	}
 	dir := s.dir
 	s.mu.Unlock()
@@ -188,7 +230,8 @@ func (s *Store[T]) Get(key string) (T, bool) {
 	if dir != "" {
 		// Disk read outside the lock: decoding can be slow and must not
 		// serialise unrelated lookups.
-		if b, err := os.ReadFile(s.path(key)); err == nil {
+		path := s.path(key)
+		if b, err := os.ReadFile(path); err == nil {
 			if v, err := s.codec.Decode(b); err == nil {
 				s.mu.Lock()
 				s.stats.DiskHits++
@@ -200,6 +243,10 @@ func (s *Store[T]) Get(key string) (T, bool) {
 				}
 				return v, true
 			}
+			// Quarantine the undecodable file so it is counted once, not
+			// re-read on every lookup. Should a good re-spill of the same
+			// key race this removal, the cost is one recompute.
+			os.Remove(path)
 			s.noteDiskFailure()
 		}
 	}
@@ -210,7 +257,23 @@ func (s *Store[T]) Get(key string) (T, bool) {
 	return zero, false
 }
 
-// Contains reports whether key is resident in memory or present on disk,
+// Peek returns the live memory-tier value for key without touching the
+// counters, the LRU order, or the observer, and never serves an expired
+// entry. A lookup that must not count twice — rampd's flight leader
+// re-checking the result cache after its own counted miss — uses it.
+func (s *Store[T]) Peek(key string) (T, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[key]; ok {
+		if e := el.Value.(*entry[T]); !s.expiredLocked(e) {
+			return e.val, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// Contains reports whether key is live in memory or present on disk,
 // without decoding or promoting anything and without touching the hit/miss
 // counters. Planning code uses it to decide whether an upstream stage can
 // be skipped; because an entry can be evicted between Contains and Get,
@@ -220,10 +283,11 @@ func (s *Store[T]) Contains(key string) bool {
 		return false
 	}
 	s.mu.Lock()
-	_, ok := s.items[key]
+	el, ok := s.items[key]
+	live := ok && !s.expiredLocked(el.Value.(*entry[T]))
 	dir := s.dir
 	s.mu.Unlock()
-	if ok {
+	if live {
 		return true
 	}
 	if dir == "" {
@@ -246,7 +310,7 @@ type PutInfo struct {
 
 // Put stores the artifact under key in the memory tier and, when spill is
 // configured, writes the encoded form to disk (atomically, via a temp file
-// rename). Re-putting an existing key refreshes its LRU position.
+// rename). Re-putting an existing key refreshes its LRU position and TTL.
 func (s *Store[T]) Put(key string, v T) PutInfo {
 	if !validKey(key) {
 		return PutInfo{}
@@ -300,12 +364,17 @@ func (s *Store[T]) Put(key string, v T) PutInfo {
 // admitLocked inserts or refreshes a memory-tier entry, returning the
 // number of entries evicted to stay within the bound; caller holds s.mu.
 func (s *Store[T]) admitLocked(key string, v T) int {
+	var expires time.Time
+	if s.ttl > 0 {
+		expires = s.now().Add(s.ttl)
+	}
 	if el, ok := s.items[key]; ok {
-		el.Value.(*entry[T]).val = v
+		e := el.Value.(*entry[T])
+		e.val, e.expires = v, expires
 		s.ll.MoveToFront(el)
 		return 0
 	}
-	s.items[key] = s.ll.PushFront(&entry[T]{key: key, val: v})
+	s.items[key] = s.ll.PushFront(&entry[T]{key: key, val: v, expires: expires})
 	evicted := 0
 	for s.ll.Len() > s.max {
 		oldest := s.ll.Back()

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 type artifact struct {
@@ -131,6 +132,77 @@ func TestStoreDiskCorruptionDegradesToMiss(t *testing.T) {
 	}
 	if st := s.Stats(); st.DiskFailures != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+	// The undecodable file is quarantined: a second lookup is a plain
+	// miss that re-reads nothing, and the key is no longer reported.
+	if _, ok := s.Get(key(1)); ok {
+		t.Fatal("corrupt artifact served on second lookup")
+	}
+	if st := s.Stats(); st.DiskFailures != 1 || st.Misses != 2 {
+		t.Fatalf("stats after second lookup = %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x", key(1)+".json")); !os.IsNotExist(err) {
+		t.Fatalf("corrupt spill file still present: %v", err)
+	}
+	if s.Contains(key(1)) {
+		t.Fatal("quarantined key still contained")
+	}
+}
+
+// TestStoreTTLExpiry pins TTL expiry: an entry is live strictly before
+// its deadline, expires on it as a counted miss, is refreshed by a
+// re-Put, and Peek neither counts nor serves an expired entry.
+func TestStoreTTLExpiry(t *testing.T) {
+	clock := time.Unix(1_000_000, 0)
+	now := func() time.Time { return clock }
+	s, err := New[string]("result", Options{MaxEntries: 8, TTL: time.Minute, Now: now}, Codec[string]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(key(1), "v")
+	clock = clock.Add(time.Minute - time.Nanosecond)
+	if v, ok := s.Peek(key(1)); !ok || v != "v" {
+		t.Fatal("peek missed a live entry")
+	}
+	if _, ok := s.Get(key(1)); !ok {
+		t.Fatal("entry expired before its TTL")
+	}
+	clock = clock.Add(time.Nanosecond) // exactly on the deadline
+	if _, ok := s.Peek(key(1)); ok {
+		t.Fatal("peek served an expired entry")
+	}
+	if s.Contains(key(1)) {
+		t.Fatal("expired entry contained")
+	}
+	if st := s.Stats(); st.MemHits != 1 || st.Misses != 0 || st.Expired != 0 || st.Entries != 1 {
+		t.Fatalf("peek or contains touched the counters: %+v", st)
+	}
+	if _, ok := s.Get(key(1)); ok {
+		t.Fatal("entry served on its deadline")
+	}
+	if st := s.Stats(); st.Expired != 1 || st.Misses != 1 || st.Entries != 0 {
+		t.Fatalf("stats after expiry = %+v", st)
+	}
+	if _, ok := s.Get(key(1)); ok {
+		t.Fatal("expired entry resurrected")
+	}
+	if st := s.Stats(); st.Expired != 1 || st.Misses != 2 {
+		t.Fatalf("second miss re-counted expiry: %+v", st)
+	}
+
+	// Re-putting restarts the TTL.
+	s.Put(key(2), "old")
+	clock = clock.Add(30 * time.Second)
+	s.Put(key(2), "new")
+	clock = clock.Add(45 * time.Second)
+	if v, ok := s.Get(key(2)); !ok || v != "new" {
+		t.Fatalf("refreshed entry = %q, %v", v, ok)
+	}
+
+	// A spilled file would outlive its TTL, so the two are exclusive.
+	if _, err := New[string]("result", Options{TTL: time.Minute, Dir: t.TempDir()},
+		JSONCodec[string]()); err == nil {
+		t.Fatal("TTL with a spill directory accepted")
 	}
 }
 
