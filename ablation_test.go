@@ -43,7 +43,7 @@ func runAblation(b *testing.B, key string, cfg ramp.Config, techs []ramp.Technol
 		}
 		profiles = append(profiles, p)
 	}
-	res, err := ramp.RunStudy(cfg, profiles, techs)
+	res, err := runDefaultStudy(cfg, profiles, techs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 #!/bin/sh
 # bench/coldstudy.sh — cold-study latency across fidelity modes.
 #
-# Runs the same uncached application × technology sweep in exact, adaptive,
-# and phase fidelity and writes BENCH_coldstudy.json in the repo root with
-# per-mode latency, speedup over exact, and the SOFR-MTTF deviation each
-# reduced mode introduces. Phase mode must deliver its speedup within the
+# Runs the same uncached application × technology sweep in exact and phase
+# fidelity and writes BENCH_coldstudy.json in the repo root with per-mode
+# latency, phase mode's speedup over exact, and the SOFR-MTTF deviation
+# phase mode introduces. Phase mode must deliver its speedup within the
 # documented accuracy bound; pass extra flags (e.g. -check -min-speedup 4)
 # to enforce thresholds.
 #

@@ -1,15 +1,14 @@
 // Command coldstudy benchmarks the cold study path across fidelity modes:
-// the same application × technology sweep runs uncached in exact, adaptive,
-// and phase fidelity, recording wall-clock latency, per-mode speedup over
-// exact, and the per-cell SOFR-MTTF deviation each reduced mode introduces.
+// the same application × technology sweep runs uncached in exact and phase
+// fidelity, recording wall-clock latency, phase mode's speedup over exact,
+// and the per-cell SOFR-MTTF deviation phase mode introduces.
 // This is the end-to-end gate for the fidelity framework — phase mode must
 // buy its speedup without drifting past the documented accuracy bound.
 //
 // With -check the process exits non-zero when phase mode misses the
-// -min-speedup floor, any reduced mode exceeds the -max-dev deviation
-// bound, or (if -max-exact-ns is set) the exact path's per-instruction
-// cost exceeds the ceiling — a coarse, hardware-tolerant latency
-// regression gate for CI.
+// -min-speedup floor or exceeds the -max-dev deviation bound, or (if
+// -max-exact-ns is set) the exact path's per-instruction cost exceeds the
+// ceiling — a coarse, hardware-tolerant latency regression gate for CI.
 //
 // Usage: coldstudy [-n 2000000] [-apps 4] [-out BENCH_coldstudy.json]
 //
@@ -108,43 +107,39 @@ func run(n int64, apps int, out string, check bool, minSpeedup, maxDev, maxExact
 	})
 	fmt.Printf("exact    %.3fs  (%.0f ns/instr)\n", exactS, exactS*1e9/totalInstr)
 
-	for _, mode := range []ramp.FidelityMode{ramp.FidelityAdaptive, ramp.FidelityPhase} {
-		got, secs, err := study(&ramp.Fidelity{Mode: mode})
-		if err != nil {
-			return fmt.Errorf("%s: %w", mode, err)
-		}
-		m := modeResult{
-			Mode: string(mode), Seconds: secs,
-			NsPerInstr: secs * 1e9 / totalInstr,
-			Speedup:    exactS / secs,
-		}
-		var sum float64
-		for i := range exact.Apps {
-			em := exact.FIT(exact.Apps[i]).MTTFYears()
-			gm := got.FIT(got.Apps[i]).MTTFYears()
-			dev := math.Abs(gm-em) / em
-			sum += dev
-			if p := dev * 100; p > m.MaxMTTFDevPct {
-				m.MaxMTTFDevPct = p
-				m.WorstCell = exact.Apps[i].App + "@" + exact.Apps[i].Tech.Name
-			}
-		}
-		m.MeanMTTFDevPct = 100 * sum / float64(len(exact.Apps))
-		for i := range exact.Worst {
-			em := exact.WorstFIT(i).MTTFYears()
-			gm := got.WorstFIT(i).MTTFYears()
-			if p := 100 * math.Abs(gm-em) / em; p > m.MaxWorstCaseDevPct {
-				m.MaxWorstCaseDevPct = p
-			}
-		}
-		res.Modes = append(res.Modes, m)
-		fmt.Printf("%-8s %.3fs  (%.1fx, max dev %.3f%% at %s)\n",
-			m.Mode, secs, m.Speedup, m.MaxMTTFDevPct, m.WorstCell)
-		if mode == ramp.FidelityPhase {
-			res.PhaseSpeedup = m.Speedup
-			res.PhaseMaxDev = m.MaxMTTFDevPct
+	got, secs, err := study(&ramp.Fidelity{Mode: ramp.FidelityPhase})
+	if err != nil {
+		return fmt.Errorf("%s: %w", ramp.FidelityPhase, err)
+	}
+	m := modeResult{
+		Mode: string(ramp.FidelityPhase), Seconds: secs,
+		NsPerInstr: secs * 1e9 / totalInstr,
+		Speedup:    exactS / secs,
+	}
+	var sum float64
+	for i := range exact.Apps {
+		em := exact.FIT(exact.Apps[i]).MTTFYears()
+		gm := got.FIT(got.Apps[i]).MTTFYears()
+		dev := math.Abs(gm-em) / em
+		sum += dev
+		if p := dev * 100; p > m.MaxMTTFDevPct {
+			m.MaxMTTFDevPct = p
+			m.WorstCell = exact.Apps[i].App + "@" + exact.Apps[i].Tech.Name
 		}
 	}
+	m.MeanMTTFDevPct = 100 * sum / float64(len(exact.Apps))
+	for i := range exact.Worst {
+		em := exact.WorstFIT(i).MTTFYears()
+		gm := got.WorstFIT(i).MTTFYears()
+		if p := 100 * math.Abs(gm-em) / em; p > m.MaxWorstCaseDevPct {
+			m.MaxWorstCaseDevPct = p
+		}
+	}
+	res.Modes = append(res.Modes, m)
+	res.PhaseSpeedup = m.Speedup
+	res.PhaseMaxDev = m.MaxMTTFDevPct
+	fmt.Printf("%-8s %.3fs  (%.1fx, max dev %.3f%% at %s)\n",
+		m.Mode, secs, m.Speedup, m.MaxMTTFDevPct, m.WorstCell)
 
 	f, err := os.Create(out)
 	if err != nil {
@@ -169,12 +164,10 @@ func run(n int64, apps int, out string, check bool, minSpeedup, maxDev, maxExact
 				res.PhaseSpeedup, minSpeedup)
 			failed = true
 		}
-		for _, m := range res.Modes {
-			if m.Mode != "exact" && m.MaxMTTFDevPct > maxDev*100 {
-				fmt.Fprintf(os.Stderr, "FAIL: %s max SOFR-MTTF deviation %.3f%% exceeds %.3f%% bound\n",
-					m.Mode, m.MaxMTTFDevPct, maxDev*100)
-				failed = true
-			}
+		if res.PhaseMaxDev > maxDev*100 {
+			fmt.Fprintf(os.Stderr, "FAIL: phase max SOFR-MTTF deviation %.3f%% exceeds %.3f%% bound\n",
+				res.PhaseMaxDev, maxDev*100)
+			failed = true
 		}
 		if maxExactNs > 0 && res.Modes[0].NsPerInstr > maxExactNs {
 			fmt.Fprintf(os.Stderr, "FAIL: exact cost %.0f ns/instr exceeds %.0f ceiling\n",

@@ -31,7 +31,7 @@ func benchStudy(b *testing.B) *ramp.StudyResult {
 	_studyOnce.Do(func() {
 		cfg := ramp.DefaultConfig()
 		cfg.Instructions = _benchInstructions
-		_study, _studyErr = ramp.RunStudy(cfg, ramp.Profiles(), ramp.Technologies())
+		_study, _studyErr = runDefaultStudy(cfg, ramp.Profiles(), ramp.Technologies())
 	})
 	if _studyErr != nil {
 		b.Fatal(_studyErr)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -15,7 +16,8 @@ import (
 func printConstants(n int64) error {
 	cfg := sim.DefaultConfig()
 	cfg.Instructions = n
-	res, err := sim.RunStudy(cfg, workload.Profiles(), scaling.Generations()[:1])
+	res, err := sim.RunStudyContext(context.Background(), cfg, workload.Profiles(),
+		scaling.Generations()[:1], sim.StudyOptions{})
 	if err != nil {
 		return err
 	}

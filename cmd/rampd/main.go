@@ -95,7 +95,7 @@ func runCtx(ctx context.Context, out io.Writer, args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	n := fs.Int64("n", 200_000, "default instructions per application per request")
 	defaultFidelity := fs.String("default-fidelity", "",
-		"fidelity mode for requests that name none: exact, adaptive, or phase (empty = exact)")
+		"fidelity mode for requests that name none: exact or phase (empty = exact)")
 	maxN := fs.Int64("max-n", 2_000_000, "per-request instruction cap")
 	cacheSize := fs.Int("cache-size", 64, "result cache entries (LRU bound)")
 	cacheTTL := fs.Duration("cache-ttl", time.Hour, "result cache TTL (0 = no expiry)")

@@ -203,6 +203,19 @@ func TestRampdFlagErrors(t *testing.T) {
 	if err := runCtx(context.Background(), out, []string{"-addr", "256.256.256.256:99999"}); err == nil {
 		t.Error("unlistenable address accepted")
 	}
+	// A mode outside exact/phase fails before the daemon listens. The
+	// context is already cancelled, so a daemon that did start drains at
+	// once instead of serving forever.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	fresh := &syncBuffer{}
+	err := runCtx(ctx, fresh, []string{"-addr", "127.0.0.1:0", "-default-fidelity", "adaptive"})
+	if err == nil || !strings.Contains(err.Error(), "exact") || !strings.Contains(err.Error(), "phase") {
+		t.Errorf("-default-fidelity adaptive: err = %v, want one naming exact and phase", err)
+	}
+	if got := fresh.String(); got != "" {
+		t.Errorf("-default-fidelity adaptive: daemon started: %q", got)
+	}
 }
 
 // TestRampdRestartInProcess runs a second daemon in the same test binary:

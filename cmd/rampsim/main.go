@@ -55,7 +55,7 @@ func runCtx(ctx context.Context, out io.Writer, args []string) error {
 	fs.SetOutput(out)
 	instructions := fs.Int64("n", 2_000_000, "instructions to simulate per application")
 	apps := fs.String("apps", "", "comma-separated benchmark subset (default: all 16)")
-	fidelity := fs.String("fidelity", "", "fidelity mode: exact (default), adaptive, or phase")
+	fidelity := fs.String("fidelity", "", "fidelity mode: exact (default) or phase")
 	mechanisms := fs.String("mechanisms", "", "comma-separated failure mechanisms (default em,sm,tc,tddb; e.g. em,sm,tc,tddb,nbti,hci)")
 	figure := fs.Int("figure", 0, "print one figure's data series (2, 3, 4, or 5)")
 	headline := fs.Bool("headline", false, "print the headline paper-vs-measured comparison")

@@ -71,6 +71,15 @@ func TestRunRejectsUnknownInputs(t *testing.T) {
 	if err := run(&sb, []string{"-bogusflag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// A mode outside exact/phase fails before the study runs.
+	var out strings.Builder
+	err := run(&out, []string{"-n", "1000", "-apps", "gzip", "-fidelity", "adaptive"})
+	if err == nil || !strings.Contains(err.Error(), "exact") || !strings.Contains(err.Error(), "phase") {
+		t.Errorf("-fidelity adaptive: err = %v, want one naming exact and phase", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-fidelity adaptive: study ran: %q", out.String())
+	}
 }
 
 func TestSelectProfiles(t *testing.T) {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +48,11 @@ func run(out io.Writer, args []string) error {
 			// Table 3 only needs the 180nm point.
 			techs = techs[:1]
 		}
-		res, err := ramp.RunStudy(cfg, ramp.Profiles(), techs)
+		runner, err := ramp.New()
+		if err != nil {
+			return err
+		}
+		res, err := runner.Study(context.Background(), cfg, ramp.Profiles(), techs)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -39,7 +40,11 @@ func run() error {
 		profiles = append(profiles, p)
 	}
 	techs := ramp.Technologies()
-	res, err := ramp.RunStudy(cfg, profiles, techs)
+	runner, err := ramp.New()
+	if err != nil {
+		return err
+	}
+	res, err := runner.Study(context.Background(), cfg, profiles, techs)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -65,10 +66,14 @@ func run() error {
 		{"TDDB tox factor off", func(c *ramp.Config) { c.RAMP.TDDB.ToxDecadeNm = 1e9 }},
 		{"TDDB voltage benefit off", func(c *ramp.Config) { c.RAMP.TDDB.VoltExponent = 0 }},
 	}
+	runner, err := ramp.New()
+	if err != nil {
+		return err
+	}
 	for _, v := range variants {
 		vcfg := cfg
 		v.tune(&vcfg)
-		res, err := ramp.RunStudy(vcfg, profiles, techs)
+		res, err := runner.Study(context.Background(), vcfg, profiles, techs)
 		if err != nil {
 			return err
 		}

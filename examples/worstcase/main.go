@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -34,7 +35,11 @@ func run() error {
 		}
 		profiles = append(profiles, p)
 	}
-	res, err := ramp.RunStudy(cfg, profiles, ramp.Technologies())
+	runner, err := ramp.New()
+	if err != nil {
+		return err
+	}
+	res, err := runner.Study(context.Background(), cfg, profiles, ramp.Technologies())
 	if err != nil {
 		return err
 	}

@@ -30,25 +30,6 @@ func extensionBreakdown(b *testing.B) ramp.Breakdown {
 	return run.RawFIT.Calibrated(ramp.ReferenceConstants())
 }
 
-// BenchmarkExtensionMonteCarloLifetime measures lifetime-sampling
-// throughput and reports the wear-out/SOFR MTTF ratio — the §2 assumption
-// error the extension quantifies.
-func BenchmarkExtensionMonteCarloLifetime(b *testing.B) {
-	fit := extensionBreakdown(b)
-	model := ramp.WearOutLifetimes()
-	b.ResetTimer()
-	var last ramp.LifetimeEstimate
-	for i := 0; i < b.N; i++ {
-		est, err := ramp.MonteCarloLifetime(fit, model, 10_000, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = est
-	}
-	b.ReportMetric(last.MTTFYears/last.SOFRYears, "x_wearoutVsSOFR")
-	b.ReportMetric(float64(10_000*b.N)/b.Elapsed().Seconds(), "samples/s")
-}
-
 // BenchmarkExtensionCMP measures the chip-multiprocessor pipeline and
 // reports the activity-migration FIT benefit on a hot+cool pair at 65nm.
 func BenchmarkExtensionCMP(b *testing.B) {

@@ -69,15 +69,6 @@ func TestFacadeAnalysisHelpers(t *testing.T) {
 	if err := ramp.WearOutLifetimes().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var b ramp.Breakdown
-	b.ByStructMech[2][ramp.TDDB] = 4000
-	est, err := ramp.MonteCarloLifetime(b, ramp.SOFRLifetimes(), 2000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.MTTFYears <= 0 {
-		t.Error("MC lifetime not positive")
-	}
 
 	// Scenario loading.
 	spec, err := ramp.LoadScenario(strings.NewReader(`{"name": "facade"}`))
@@ -154,7 +145,7 @@ func TestFacadeHeavyPaths(t *testing.T) {
 	cfg.Instructions = 80_000
 	profiles := []ramp.Profile{ramp.Profiles()[0], ramp.Profiles()[15]}
 	techs := ramp.Technologies()[:2]
-	res, err := ramp.RunStudy(cfg, profiles, techs)
+	res, err := runDefaultStudy(cfg, profiles, techs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/ramp-sim/ramp/internal/floorplan"
@@ -46,11 +47,19 @@ func BenchmarkMonteCarloSample(b *testing.B) {
 		temps[i] = 350 + float64(i)
 	}
 	bd := e.Instant(af, temps, 1.3, 349)
-	model := WearOutLifetimes()
+	sampler, err := NewLifetimeSampler(bd, WearOutLifetimes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloLifetime(bd, model, 100, int64(i)); err != nil {
-			b.Fatal(err)
+		rng := rand.New(rand.NewSource(int64(i)))
+		for j := 0; j < 100; j++ {
+			sink += sampler.Sample(rng)
 		}
+	}
+	if sink <= 0 {
+		b.Fatal("no positive lifetimes sampled")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/ramp-sim/ramp/internal/stats"
 )
@@ -257,56 +256,4 @@ func CanonicalModelName(name string) string {
 	default:
 		return name
 	}
-}
-
-// LifetimeEstimate summarises a Monte Carlo lifetime experiment.
-type LifetimeEstimate struct {
-	// MTTFYears is the Monte Carlo mean processor lifetime.
-	MTTFYears float64
-	// MedianYears and P5Years, P95Years describe the lifetime spread —
-	// quantities SOFR cannot produce.
-	MedianYears, P5Years, P95Years float64
-	// SOFRYears is the analytic SOFR MTTF of the same breakdown, for
-	// comparison.
-	SOFRYears float64
-	// Samples is the number of Monte Carlo trials.
-	Samples int
-}
-
-// MonteCarloLifetime estimates the processor lifetime distribution for a
-// calibrated FIT breakdown under the given per-mechanism lifetime
-// distributions. Each trial draws one lifetime per (structure, mechanism)
-// with mean 10⁹/FIT hours and takes the minimum (series failure system).
-func MonteCarloLifetime(b Breakdown, model LifetimeModel, samples int, seed int64) (LifetimeEstimate, error) {
-	if samples < 1 {
-		return LifetimeEstimate{}, fmt.Errorf("core: need at least 1 sample, got %d", samples)
-	}
-	sampler, err := NewLifetimeSampler(b, model)
-	if err != nil {
-		return LifetimeEstimate{}, err
-	}
-	// One shared stream across all trials preserves the historical draw
-	// sequence of this entry point exactly; the batch-parallel MC study in
-	// internal/sim uses per-replica splittable streams instead.
-	rng := rand.New(rand.NewSource(seed))
-	lifetimes := make([]float64, samples)
-	var sum float64
-	for i := range lifetimes {
-		years := sampler.Sample(rng)
-		lifetimes[i] = years
-		sum += years
-	}
-	sort.Float64s(lifetimes)
-	q := func(p float64) float64 {
-		idx := int(p * float64(samples-1))
-		return lifetimes[idx]
-	}
-	return LifetimeEstimate{
-		MTTFYears:   sum / float64(samples),
-		MedianYears: q(0.5),
-		P5Years:     q(0.05),
-		P95Years:    q(0.95),
-		SOFRYears:   b.MTTFYears(),
-		Samples:     samples,
-	}, nil
 }

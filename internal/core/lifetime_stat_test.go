@@ -210,37 +210,6 @@ func TestReplicaRandStreamsAreIndependentAndReproducible(t *testing.T) {
 	}
 }
 
-func TestLifetimeSamplerMatchesSerialMonteCarlo(t *testing.T) {
-	// The serial entry point is now a thin loop over LifetimeSampler with a
-	// shared stream; a sampler driven by the same stream must reproduce it.
-	var b Breakdown
-	b.ByStructMech[0][EM] = 1000
-	b.ByStructMech[1][TDDB] = 500
-	b.ByStructMech[2][TC] = 250
-	model := WearOutLifetimes()
-	const samples, seed = 512, 77
-
-	est, err := MonteCarloLifetime(b, model, samples, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler, err := NewLifetimeSampler(b, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sampler.Cells() != 3 {
-		t.Fatalf("Cells() = %d, want 3", sampler.Cells())
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var sum float64
-	for i := 0; i < samples; i++ {
-		sum += sampler.Sample(rng)
-	}
-	if mean := sum / samples; math.Abs(mean-est.MTTFYears) > 1e-12 {
-		t.Errorf("sampler mean %v != MonteCarloLifetime mean %v", mean, est.MTTFYears)
-	}
-}
-
 func TestNewLifetimeSamplerErrors(t *testing.T) {
 	var empty Breakdown
 	if _, err := NewLifetimeSampler(empty, SOFRLifetimes()); err == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -121,15 +122,46 @@ func calibratedTestBreakdown(t *testing.T) Breakdown {
 	return e.Instant(af, temps, 1.3, 349)
 }
 
+// mcEstimate summarises one serial Monte Carlo lifetime experiment: the
+// sample mean and quantiles of samples draws from one shared stream.
+type mcEstimate struct {
+	MTTFYears, MedianYears, P5Years, P95Years float64
+	// SOFRYears is the analytic SOFR MTTF of the same breakdown.
+	SOFRYears float64
+}
+
+// monteCarlo draws samples lifetimes of b under model through a
+// LifetimeSampler fed by one stream seeded with seed.
+func monteCarlo(t *testing.T, b Breakdown, model LifetimeModel, samples int, seed int64) mcEstimate {
+	t.Helper()
+	sampler, err := NewLifetimeSampler(b, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	lifetimes := make([]float64, samples)
+	var sum float64
+	for i := range lifetimes {
+		lifetimes[i] = sampler.Sample(rng)
+		sum += lifetimes[i]
+	}
+	sort.Float64s(lifetimes)
+	q := func(p float64) float64 { return lifetimes[int(p*float64(samples-1))] }
+	return mcEstimate{
+		MTTFYears:   sum / float64(samples),
+		MedianYears: q(0.5),
+		P5Years:     q(0.05),
+		P95Years:    q(0.95),
+		SOFRYears:   b.MTTFYears(),
+	}
+}
+
 func TestMonteCarloExponentialMatchesSOFR(t *testing.T) {
 	// With exponential marginals, min of exponentials is exponential with
 	// the summed rate — the Monte Carlo mean must converge to the SOFR
 	// analytic MTTF.
 	b := calibratedTestBreakdown(t)
-	est, err := MonteCarloLifetime(b, SOFRLifetimes(), 100_000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := monteCarlo(t, b, SOFRLifetimes(), 100_000, 42)
 	if math.Abs(est.MTTFYears/est.SOFRYears-1) > 0.02 {
 		t.Fatalf("exponential MC MTTF %v years vs SOFR %v, want ≤ 2%% apart",
 			est.MTTFYears, est.SOFRYears)
@@ -146,10 +178,7 @@ func TestMonteCarloWearOutExceedsSOFR(t *testing.T) {
 	// have low early-life hazard, so the true expected lifetime of the
 	// series system exceeds the constant-rate estimate.
 	b := calibratedTestBreakdown(t)
-	est, err := MonteCarloLifetime(b, WearOutLifetimes(), 50_000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := monteCarlo(t, b, WearOutLifetimes(), 50_000, 42)
 	if est.MTTFYears <= est.SOFRYears {
 		t.Fatalf("wear-out MC MTTF %v years not above SOFR %v",
 			est.MTTFYears, est.SOFRYears)
@@ -167,21 +196,12 @@ func TestMonteCarloWearOutExceedsSOFR(t *testing.T) {
 
 func TestMonteCarloDeterministicPerSeed(t *testing.T) {
 	b := calibratedTestBreakdown(t)
-	a1, err := MonteCarloLifetime(b, WearOutLifetimes(), 2000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := MonteCarloLifetime(b, WearOutLifetimes(), 2000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := monteCarlo(t, b, WearOutLifetimes(), 2000, 7)
+	a2 := monteCarlo(t, b, WearOutLifetimes(), 2000, 7)
 	if a1 != a2 {
 		t.Fatal("same seed must reproduce the estimate exactly")
 	}
-	a3, err := MonteCarloLifetime(b, WearOutLifetimes(), 2000, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a3 := monteCarlo(t, b, WearOutLifetimes(), 2000, 8)
 	if a1.MTTFYears == a3.MTTFYears {
 		t.Fatal("different seeds should differ")
 	}
@@ -189,14 +209,11 @@ func TestMonteCarloDeterministicPerSeed(t *testing.T) {
 
 func TestMonteCarloRejections(t *testing.T) {
 	b := calibratedTestBreakdown(t)
-	if _, err := MonteCarloLifetime(b, LifetimeModel{}, 100, 1); err == nil {
+	if _, err := NewLifetimeSampler(b, LifetimeModel{}); err == nil {
 		t.Error("empty lifetime model accepted")
 	}
-	if _, err := MonteCarloLifetime(b, SOFRLifetimes(), 0, 1); err == nil {
-		t.Error("zero samples accepted")
-	}
 	var zero Breakdown
-	if _, err := MonteCarloLifetime(zero, SOFRLifetimes(), 100, 1); err == nil {
+	if _, err := NewLifetimeSampler(zero, SOFRLifetimes()); err == nil {
 		t.Error("all-zero breakdown accepted")
 	}
 }
@@ -204,15 +221,8 @@ func TestMonteCarloRejections(t *testing.T) {
 func TestMonteCarloScalesInverselyWithFIT(t *testing.T) {
 	// Doubling every rate should roughly halve the MC lifetime.
 	b := calibratedTestBreakdown(t)
-	double := b.scale(2)
-	e1, err := MonteCarloLifetime(b, SOFRLifetimes(), 40_000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := MonteCarloLifetime(double, SOFRLifetimes(), 40_000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := monteCarlo(t, b, SOFRLifetimes(), 40_000, 9)
+	e2 := monteCarlo(t, b.scale(2), SOFRLifetimes(), 40_000, 9)
 	if math.Abs(e2.MTTFYears*2/e1.MTTFYears-1) > 0.05 {
 		t.Fatalf("doubled-rate lifetime %v not half of %v", e2.MTTFYears, e1.MTTFYears)
 	}

@@ -153,9 +153,6 @@ func NewLifetimeSampler(b Breakdown, model LifetimeModel) (*LifetimeSampler, err
 	return &LifetimeSampler{cells: cells, model: model}, nil
 }
 
-// Cells returns the number of positive-rate (structure, mechanism) cells.
-func (ls *LifetimeSampler) Cells() int { return len(ls.cells) }
-
 // Sample draws one processor lifetime in years: one draw per positive-rate
 // cell with the cell's mean, minimum across the series system.
 func (ls *LifetimeSampler) Sample(rng *rand.Rand) float64 {

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func smallStudy(t *testing.T) *sim.StudyResult {
 	}
 	gens := scaling.Generations()
 	techs := []scaling.Technology{gens[0], gens[3], gens[4]}
-	res, err := sim.RunStudy(cfg, profiles, techs)
+	res, err := sim.RunStudyContext(context.Background(), cfg, profiles, techs, sim.StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

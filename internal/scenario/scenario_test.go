@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestScenarioRunsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunStudy(cfg, profiles, techs)
+	res, err := sim.RunStudyContext(context.Background(), cfg, profiles, techs, sim.StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

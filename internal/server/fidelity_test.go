@@ -41,7 +41,7 @@ func TestStudyFidelityParameter(t *testing.T) {
 	}
 
 	keys := map[string]string{}
-	for _, mode := range []string{"", "exact", "adaptive", "phase"} {
+	for _, mode := range []string{"", "exact", "phase"} {
 		target := "/v1/study?apps=ammp&techs=130nm"
 		if mode != "" {
 			target += "&fidelity=" + mode
@@ -66,14 +66,16 @@ func TestStudyFidelityParameter(t *testing.T) {
 		t.Errorf("explicit exact keyed differently from the default: %q vs %q",
 			keys["exact"], keys[""])
 	}
-	if keys["adaptive"] == keys[""] || keys["phase"] == keys[""] || keys["adaptive"] == keys["phase"] {
+	if keys["phase"] == keys[""] {
 		t.Errorf("fidelity modes share cache keys: %v", keys)
 	}
 }
 
-// TestStudyFidelityUnknownMode pins the failure shape: an unknown mode is
-// a 400 with the stable error envelope, on both the GET parameter and the
-// POST body, and never reaches the simulator.
+// TestStudyFidelityUnknownMode pins the failure shape: an unknown mode —
+// including the retired "adaptive" — is a 400 with the stable error
+// envelope naming the valid modes, on the GET parameter and the POST body
+// of /v1/study and /v1/study/mc and on a /v1/batch item, and never
+// reaches the simulator.
 func TestStudyFidelityUnknownMode(t *testing.T) {
 	s := newTestServer(t, nil)
 	s.runStudy = func(ctx context.Context, cfg sim.Config, profiles []workload.Profile,
@@ -81,20 +83,32 @@ func TestStudyFidelityUnknownMode(t *testing.T) {
 		t.Error("simulation ran for an invalid fidelity mode")
 		return stubResult(cfg, techs), nil
 	}
-	rec, body := get(t, s, "/v1/study?fidelity=turbo")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("GET status %d, want 400", rec.Code)
-	}
-	if !strings.Contains(string(body["error"]), CodeBadRequest) {
-		t.Errorf("GET error envelope missing code: %s", body["error"])
-	}
-
-	rec2, body2 := post(t, s, "/v1/study", `{"fidelity":"turbo"}`)
-	if rec2.Code != http.StatusBadRequest {
-		t.Fatalf("POST status %d, want 400", rec2.Code)
-	}
-	if !strings.Contains(string(body2["error"]), CodeBadRequest) {
-		t.Errorf("POST error envelope missing code: %s", body2["error"])
+	for _, mode := range []string{"turbo", "adaptive"} {
+		body := `{"fidelity":"` + mode + `"}`
+		for _, tc := range []struct{ method, target, body string }{
+			{http.MethodGet, "/v1/study?fidelity=" + mode, ""},
+			{http.MethodPost, "/v1/study", body},
+			{http.MethodGet, "/v1/study/mc?fidelity=" + mode, ""},
+			{http.MethodPost, "/v1/study/mc", body},
+			{http.MethodPost, "/v1/batch", `{"jobs":[{"apps":["ammp"],"fidelity":"` + mode + `"}]}`},
+		} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", tc.method, tc.target, rec.Code)
+				continue
+			}
+			var env struct{ Error ErrorBody }
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+				t.Fatalf("%s %s: bad envelope %q: %v", tc.method, tc.target, rec.Body.String(), err)
+			}
+			if env.Error.Code != CodeBadRequest {
+				t.Errorf("%s %s: code %q, want %q", tc.method, tc.target, env.Error.Code, CodeBadRequest)
+			}
+			if msg := env.Error.Message; !strings.Contains(msg, "exact") || !strings.Contains(msg, "phase") {
+				t.Errorf("%s %s: message %q does not name exact and phase", tc.method, tc.target, msg)
+			}
+		}
 	}
 }
 

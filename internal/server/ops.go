@@ -207,14 +207,6 @@ func runOutcome(err error) (outcome, msg string) {
 	return obs.OutcomeFor(err), err.Error()
 }
 
-// fidelityLabel is the effective fidelity mode of a resolved config.
-func fidelityLabel(cfg sim.Config) string {
-	if cfg.Fidelity == nil || cfg.Fidelity.Mode == "" {
-		return string(sim.FidelityExact)
-	}
-	return string(cfg.Fidelity.Mode)
-}
-
 // newRunRecord assembles the identity and configuration half of a run
 // record — who ran what, under which request and trace, with which
 // outcome. Stage and cache costs are merged in by the caller from its
@@ -228,7 +220,7 @@ func (s *Server) newRunRecord(ctx context.Context, kind, key string, cfg sim.Con
 		Tenant:       tenantFromCtx(ctx),
 		RequestID:    obs.RequestIDFrom(ctx),
 		TraceID:      obs.TraceContextFrom(ctx).TraceID,
-		Fidelity:     fidelityLabel(cfg),
+		Fidelity:     cfg.Fidelity.ModeName(),
 		Mechanisms:   cfg.Mechanisms,
 		Outcome:      outcome,
 		Error:        msg,

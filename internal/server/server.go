@@ -501,9 +501,9 @@ type StudyRequest struct {
 	// Instructions overrides the per-application trace length.
 	Instructions int64 `json:"instructions"`
 	// Fidelity selects the simulation fidelity mode: "exact" (or empty,
-	// the default), "adaptive", or "phase". The mode participates in the
-	// request's cache key and every stage key below it, so responses at
-	// different fidelities never cross-serve.
+	// the default) or "phase". The mode participates in the request's
+	// cache key and every stage key below it, so responses at different
+	// fidelities never cross-serve.
 	Fidelity string `json:"fidelity,omitempty"`
 	// Mechanisms lists the failure mechanisms to evaluate, by registry
 	// name (GET /v1/mechanisms enumerates them); empty means the paper's

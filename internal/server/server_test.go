@@ -454,8 +454,8 @@ func TestServerServesRealStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunStudy(cfg, []workload.Profile{prof},
-		[]scaling.Technology{scaling.Base(), tech})
+	res, err := sim.RunStudyContext(context.Background(), cfg, []workload.Profile{prof},
+		[]scaling.Technology{scaling.Base(), tech}, sim.StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,10 +104,8 @@ func hashKey(v any) (string, error) {
 // paper keeps the microarchitecture (and hence the activity behaviour)
 // fixed across technology points (§1.3).
 // The optional Fidelity block appears only when the mode changes what the
-// timing stage simulates (phase-mode systematic sampling); exact and
-// adaptive omit it — they run the identical full simulation and share the
-// artifact, and omission keeps exact keys byte-identical to pre-fidelity
-// releases.
+// timing stage simulates (phase-mode systematic sampling); exact omits
+// it, which keeps exact keys byte-identical to pre-fidelity releases.
 type timingStageInputs struct {
 	Machine      microarch.Config      `json:"machine"`
 	Instructions int64                 `json:"instructions"`
@@ -132,9 +130,9 @@ func TimingKey(cfg Config, prof workload.Profile) (string, error) {
 // — the latter because a scaled cell's sink-temperature target and
 // app-power scale are functions of the base cell, which these same inputs
 // determine. Config.RAMP deliberately does not appear.
-// The optional Fidelity block appears for adaptive and phase modes, which
-// replace the per-sample transient with phase-compressed error-bounded
-// integration; exact omits it so pre-fidelity keys stay valid.
+// The optional Fidelity block appears for phase mode, which replaces the
+// per-sample transient with phase-compressed error-bounded integration;
+// exact omits it so pre-fidelity keys stay valid.
 type thermalStageInputs struct {
 	TimingKey string                 `json:"timing_key"`
 	Power     power.Params           `json:"power"`

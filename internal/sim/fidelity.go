@@ -17,25 +17,22 @@ const (
 	// every 1µs sample integrated individually. Bit-identical to the
 	// pre-fidelity pipeline.
 	FidelityExact FidelityMode = "exact"
-	// FidelityAdaptive keeps the exact timing simulation but
-	// phase-compresses the activity trace before thermal integration and
-	// advances each stationary phase with error-bounded coarse Heun steps
-	// (sub-split whenever the local error estimate exceeds ThermalTolK).
-	FidelityAdaptive FidelityMode = "adaptive"
-	// FidelityPhase adds systematic trace sampling (§4.5) on top of
-	// adaptive: only periodic windows of the instruction stream are
-	// simulated and the compressed phases weight by occupancy,
-	// SimPoint-style. Fastest, with the largest (still bounded) error.
+	// FidelityPhase simulates only periodic windows of the instruction
+	// stream (systematic sampling, §4.5), phase-compresses the activity
+	// trace, weights the compressed phases by occupancy (SimPoint-style),
+	// and advances each stationary phase with error-bounded coarse Heun
+	// steps (sub-split whenever the local error estimate exceeds
+	// ThermalTolK).
 	FidelityPhase FidelityMode = "phase"
 )
 
-// Default tuning for the non-exact modes. The sampling geometry (a 20k
-// head plus a 1/10 window ratio) and thermal tolerance are chosen so the
-// end-to-end SOFR MTTF stays within 1% of exact across the built-in
-// profiles (see BENCH_coldstudy.json and the accuracy regression test).
+// Default tuning for phase mode. The sampling geometry (a 20k head plus
+// a 1/10 window ratio) and thermal tolerance are chosen so the end-to-end
+// SOFR MTTF stays within 1% of exact across the built-in profiles (see
+// BENCH_coldstudy.json and the accuracy regression test).
 const (
 	// DefaultThermalTolK is the per-coarse-step local temperature error
-	// bound of the adaptive integrator, in kelvin.
+	// bound of the coarse thermal integrator, in kelvin.
 	DefaultThermalTolK = 0.05
 	// DefaultSampleWindowInstrs is the detailed-simulation window length
 	// of phase-mode systematic sampling, in instructions. Windows shorter
@@ -61,11 +58,10 @@ type Fidelity struct {
 	// Mode selects the pipeline variant; empty means FidelityExact.
 	Mode FidelityMode `json:"mode,omitempty"`
 	// PhaseEpsilonAF is the per-structure activity-factor tolerance of the
-	// phase detector (adaptive and phase modes); 0 means
-	// phase.DefaultEpsilonAF.
+	// phase detector (phase mode); 0 means phase.DefaultEpsilonAF.
 	PhaseEpsilonAF float64 `json:"phase_epsilon_af,omitempty"`
 	// ThermalTolK is the local temperature error bound per coarse step of
-	// the adaptive integrator, in kelvin; 0 means DefaultThermalTolK.
+	// the coarse integrator, in kelvin; 0 means DefaultThermalTolK.
 	ThermalTolK float64 `json:"thermal_tol_k,omitempty"`
 	// SampleWindowInstrs, SamplePeriodInstrs, and SampleHeadInstrs
 	// configure phase-mode systematic sampling (contiguous head, then one
@@ -104,6 +100,15 @@ func (f *Fidelity) norm() Fidelity {
 	return out
 }
 
+// ModeName is the effective mode label: "exact" unless a mode is set.
+// A nil receiver is exact.
+func (f *Fidelity) ModeName() string {
+	if f == nil || f.Mode == "" {
+		return string(FidelityExact)
+	}
+	return string(f.Mode)
+}
+
 // Validate rejects unknown modes and out-of-range tuning. A nil fidelity
 // is valid (exact).
 func (f *Fidelity) Validate() error {
@@ -111,9 +116,9 @@ func (f *Fidelity) Validate() error {
 		return nil
 	}
 	switch f.Mode {
-	case "", FidelityExact, FidelityAdaptive, FidelityPhase:
+	case "", FidelityExact, FidelityPhase:
 	default:
-		return fmt.Errorf("sim: unknown fidelity mode %q (want exact, adaptive, or phase)", f.Mode)
+		return fmt.Errorf("sim: unknown fidelity mode %q (want exact or phase)", f.Mode)
 	}
 	if f.PhaseEpsilonAF < 0 || f.PhaseEpsilonAF > 1 || math.IsNaN(f.PhaseEpsilonAF) {
 		return fmt.Errorf("sim: fidelity phase epsilon %v outside [0,1]", f.PhaseEpsilonAF)
@@ -140,20 +145,16 @@ func ParseFidelityMode(mode string) (*Fidelity, error) {
 	switch FidelityMode(mode) {
 	case "", FidelityExact:
 		return nil, nil
-	case FidelityAdaptive:
-		return &Fidelity{Mode: FidelityAdaptive}, nil
 	case FidelityPhase:
 		return &Fidelity{Mode: FidelityPhase}, nil
 	default:
-		return nil, fmt.Errorf("sim: unknown fidelity mode %q (want exact, adaptive, or phase)", mode)
+		return nil, fmt.Errorf("sim: unknown fidelity mode %q (want exact or phase)", mode)
 	}
 }
 
-// fidelityTimingInputs is the timing stage's view of the fidelity: only
-// phase mode changes what the timing stage simulates (systematic
-// sampling), so only phase mode contributes these to TimingKey. Exact and
-// adaptive deliberately share timing artifacts — they run the identical
-// full simulation, so the reuse is sound, not stale.
+// fidelityTimingInputs is the timing stage's view of the fidelity: phase
+// mode's systematic sampling changes what the timing stage simulates, so
+// phase mode contributes these to TimingKey.
 type fidelityTimingInputs struct {
 	Mode               FidelityMode `json:"mode"`
 	SampleWindowInstrs int64        `json:"sample_window_instrs"`
@@ -162,9 +163,9 @@ type fidelityTimingInputs struct {
 }
 
 // fidelityThermalInputs is the thermal stage's view of the fidelity:
-// adaptive and phase both replace the per-sample transient with
-// phase-compressed error-bounded integration, parameterised by the
-// detector epsilon and step tolerance.
+// phase mode replaces the per-sample transient with phase-compressed
+// error-bounded integration, parameterised by the detector epsilon and
+// step tolerance.
 type fidelityThermalInputs struct {
 	Mode           FidelityMode `json:"mode"`
 	PhaseEpsilonAF float64      `json:"phase_epsilon_af"`

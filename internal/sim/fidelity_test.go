@@ -17,7 +17,6 @@ func TestFidelityValidate(t *testing.T) {
 	valid := []Fidelity{
 		{},
 		{Mode: FidelityExact},
-		{Mode: FidelityAdaptive},
 		{Mode: FidelityPhase},
 		{Mode: FidelityPhase, PhaseEpsilonAF: 0.1, ThermalTolK: 1,
 			SampleWindowInstrs: 1000, SamplePeriodInstrs: 5000},
@@ -30,6 +29,7 @@ func TestFidelityValidate(t *testing.T) {
 	}
 	invalid := []Fidelity{
 		{Mode: "fast"},
+		{Mode: "adaptive"},
 		{PhaseEpsilonAF: -0.1},
 		{PhaseEpsilonAF: 2},
 		{PhaseEpsilonAF: math.NaN()},
@@ -77,16 +77,21 @@ func TestParseFidelityMode(t *testing.T) {
 	if err != nil || f == nil || f.Mode != FidelityPhase {
 		t.Errorf("ParseFidelityMode(phase) = %v, %v", f, err)
 	}
-	if _, err := ParseFidelityMode("turbo"); err == nil {
-		t.Error("unknown mode accepted")
+	for _, mode := range []string{"turbo", "adaptive"} {
+		_, err := ParseFidelityMode(mode)
+		if err == nil {
+			t.Errorf("ParseFidelityMode(%q) accepted", mode)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "exact") || !strings.Contains(msg, "phase") {
+			t.Errorf("ParseFidelityMode(%q) error %q does not name exact and phase", mode, msg)
+		}
 	}
 }
 
 // TestFidelityKeyInvalidation pins the acceptance contract: fidelity mode
 // participates in every stage, study, and MC key, so a cached result from
-// one mode can never be served for another. Exact and adaptive share
-// timing artifacts deliberately (identical full simulation); every other
-// pair of keys differs.
+// one mode can never be served for another.
 func TestFidelityKeyInvalidation(t *testing.T) {
 	prof := workload.Profiles()[0]
 	tech := scaling.Generations()[1]
@@ -119,32 +124,14 @@ func TestFidelityKeyInvalidation(t *testing.T) {
 	}
 
 	exact := keys(nil)
-	adaptive := keys(&Fidelity{Mode: FidelityAdaptive})
 	phase := keys(&Fidelity{Mode: FidelityPhase})
 
-	// Timing: exact and adaptive run the identical full simulation and
-	// share the artifact; phase samples the stream, so it must differ.
-	if exact.timing != adaptive.timing {
-		t.Error("exact and adaptive timing keys differ; they run the same simulation")
-	}
-	if phase.timing == exact.timing {
-		t.Error("phase mode did not invalidate the timing key")
-	}
-
-	// Thermal and FIT: all three modes must be distinct.
 	for _, pair := range [][2]string{
-		{exact.thermal, adaptive.thermal},
+		{exact.timing, phase.timing},
 		{exact.thermal, phase.thermal},
-		{adaptive.thermal, phase.thermal},
-		{exact.fit, adaptive.fit},
 		{exact.fit, phase.fit},
-		{adaptive.fit, phase.fit},
-		{exact.study, adaptive.study},
 		{exact.study, phase.study},
-		{adaptive.study, phase.study},
-		{exact.mc, adaptive.mc},
 		{exact.mc, phase.mc},
-		{adaptive.mc, phase.mc},
 	} {
 		if pair[0] == pair[1] {
 			t.Errorf("fidelity modes share a cache key: %s", pair[0])
@@ -157,18 +144,18 @@ func TestFidelityKeyInvalidation(t *testing.T) {
 	if window.timing == phase.timing || window.thermal == phase.thermal {
 		t.Error("sampling geometry change did not invalidate keys")
 	}
-	tol := keys(&Fidelity{Mode: FidelityAdaptive, ThermalTolK: 0.5})
-	if tol.thermal == adaptive.thermal || tol.fit == adaptive.fit {
+	tol := keys(&Fidelity{Mode: FidelityPhase, ThermalTolK: 0.5})
+	if tol.thermal == phase.thermal || tol.fit == phase.fit {
 		t.Error("thermal tolerance change did not invalidate thermal/FIT keys")
 	}
-	eps := keys(&Fidelity{Mode: FidelityAdaptive, PhaseEpsilonAF: 0.1})
-	if eps.thermal == adaptive.thermal {
-		t.Error("phase epsilon change did not invalidate the thermal key")
+	eps := keys(&Fidelity{Mode: FidelityPhase, PhaseEpsilonAF: 0.1})
+	if eps.thermal == phase.thermal || eps.fit == phase.fit {
+		t.Error("phase epsilon change did not invalidate thermal/FIT keys")
 	}
 	// ...but tuning that the stage ignores must not churn its key: the
-	// timing stage never reads the thermal tolerance.
-	if tol.timing != exact.timing {
-		t.Error("thermal tolerance change invalidated the timing key")
+	// timing stage never reads the thermal tolerance or the epsilon.
+	if tol.timing != phase.timing || eps.timing != phase.timing {
+		t.Error("thermal tuning change invalidated the timing key")
 	}
 }
 

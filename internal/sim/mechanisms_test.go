@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,6 +20,17 @@ const (
 	goldenThermalKey = "a77dc95cd0aee44792a2f05823157892df6e9191b05b38fc257e4f90c20a8def"
 	goldenFITKey     = "595c415d65def1574a58eaa5d1a0ec709c233b592c1f6a9dc23ed759ec094d5f"
 	goldenMCStudyKey = "c724f31782f8a86bb64e1e97e6dc2f5ab86ef63248fcb38414b62af44e97f7b9"
+)
+
+// Golden stage keys of the default study at phase fidelity, captured
+// while a third (adaptive) mode still existed, so removing a mode cannot
+// silently move the phase-mode cache.
+const (
+	goldenPhaseStudyKey   = "9149dd8df4cd5a3852e29dd065221c2dc07356dd61c79488dc1e37333b33ee23"
+	goldenPhaseTimingKey  = "bfd8a3eedcdd188af7d5a4f0506e2fd7ceb860a2bf0b16e777f825f68ba54352"
+	goldenPhaseThermalKey = "df0f81c4a3bc24548c3f6d4a29ca4240b901d84b5b03a19e9b09e5f5e89bfc5c"
+	goldenPhaseFITKey     = "6677d49b6124500b6b665d59e491718c32d398c95626a73d38b1eed925200e6f"
+	goldenPhaseMCStudyKey = "923aa26bd0996465b8943bacd088a8760c16222a2d35ed247bd1af139231ceb8"
 )
 
 // TestGoldenKeysDefaultSet pins every stage key of the default study to the
@@ -44,6 +56,32 @@ func TestGoldenKeysDefaultSet(t *testing.T) {
 	mcfg := MCConfig{Samples: 1000, Model: "sofr", Seed: 42}
 	if got, err := MCStudyKey(cfg, mcfg, profiles, techs); err != nil || got != goldenMCStudyKey {
 		t.Errorf("MCStudyKey = %s, %v; want golden %s", got, err, goldenMCStudyKey)
+	}
+}
+
+// TestGoldenKeysPhase pins every stage key of the default study at
+// phase fidelity.
+func TestGoldenKeysPhase(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Fidelity = &Fidelity{Mode: FidelityPhase}
+	profiles := workload.Profiles()
+	techs := scaling.Generations()
+
+	if got, err := StudyKey(cfg, profiles, techs); err != nil || got != goldenPhaseStudyKey {
+		t.Errorf("StudyKey = %s, %v; want golden %s", got, err, goldenPhaseStudyKey)
+	}
+	if got, err := TimingKey(cfg, profiles[0]); err != nil || got != goldenPhaseTimingKey {
+		t.Errorf("TimingKey = %s, %v; want golden %s", got, err, goldenPhaseTimingKey)
+	}
+	if got, err := ThermalKey(cfg, profiles[0], techs[1]); err != nil || got != goldenPhaseThermalKey {
+		t.Errorf("ThermalKey = %s, %v; want golden %s", got, err, goldenPhaseThermalKey)
+	}
+	if got, err := FITKey(cfg, profiles[0], techs[1]); err != nil || got != goldenPhaseFITKey {
+		t.Errorf("FITKey = %s, %v; want golden %s", got, err, goldenPhaseFITKey)
+	}
+	mcfg := MCConfig{Samples: 1000, Model: "sofr", Seed: 42}
+	if got, err := MCStudyKey(cfg, mcfg, profiles, techs); err != nil || got != goldenPhaseMCStudyKey {
+		t.Errorf("MCStudyKey = %s, %v; want golden %s", got, err, goldenPhaseMCStudyKey)
 	}
 }
 
@@ -149,13 +187,13 @@ func TestStudyResultsByteIdenticalAcrossDefaultSpellings(t *testing.T) {
 	profiles := testProfiles(t)[:2]
 	techs := scaling.Generations()[:2]
 
-	implicit, err := RunStudy(cfg, profiles, techs)
+	implicit, err := RunStudyContext(context.Background(), cfg, profiles, techs, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
 	cfg2.Mechanisms = []string{"TDDB", "tc", "SM", "em"}
-	explicit, err := RunStudy(cfg2, profiles, techs)
+	explicit, err := RunStudyContext(context.Background(), cfg2, profiles, techs, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +228,7 @@ func TestExtendedMechanismStudy(t *testing.T) {
 	profiles := testProfiles(t)[:2]
 	techs := scaling.Generations()[:2]
 
-	res, err := RunStudy(cfg, profiles, techs)
+	res, err := RunStudyContext(context.Background(), cfg, profiles, techs, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,13 +132,11 @@ func RunThermalContext(ctx context.Context, cfg Config, tr *ActivityTrace, tech 
 	fd := cfg.Fidelity.norm()
 	var plan *phase.Plan
 	avgAF := tr.Timing.AvgAF
-	if fd.Mode != FidelityExact {
+	if fd.Mode == FidelityPhase {
 		if plan, err = compressPlan(cfg, tr, fd); err != nil {
 			return nil, err
 		}
-		if fd.Mode == FidelityPhase {
-			avgAF = plan.MeanAF()
-		}
+		avgAF = plan.MeanAF()
 	}
 	steady, err := SolveOperatingPoint(pm, net, avgAF, sinkTempTargetK)
 	if err != nil {
@@ -147,9 +145,8 @@ func RunThermalContext(ctx context.Context, cfg Config, tr *ActivityTrace, tech 
 
 	// ---- Pass 2: the transient run, recording the interval series and the
 	// power/temperature statistics. Exact fidelity integrates every 1µs
-	// activity sample; adaptive and phase fidelity compress the trace into
-	// stationary phases first and advance each with error-bounded coarse
-	// steps.
+	// activity sample; phase fidelity compresses the trace into stationary
+	// phases first and advances each with error-bounded coarse steps.
 	net.Init(steady)
 	ts := &ThermalSeries{
 		App:           tr.Profile.Name,
@@ -267,31 +264,31 @@ const (
 	minCoarseStepUS     = 0.25
 )
 
-// compressPlan builds the phase plan for the non-exact transients. Under
-// phase fidelity the trace was systematically sampled, so the plan
-// re-expands post-head window durations by the period/window ratio —
-// behaviour observed through the windows regains the duration weight it
-// has in the unsampled stream, while the contiguous head (the cold-start
-// transient, simulated in full) keeps weight 1. The head boundary is
-// located by accumulating per-sample retired-instruction counts.
+// compressPlan builds the phase plan for the phase-fidelity transient.
+// The trace was systematically sampled, so the plan re-expands post-head
+// window durations by the period/window ratio — behaviour observed
+// through the windows regains the duration weight it has in the unsampled
+// stream, while the contiguous head (the cold-start transient, simulated
+// in full) keeps weight 1. The head boundary is located by accumulating
+// per-sample retired-instruction counts.
 func compressPlan(cfg Config, tr *ActivityTrace, fd Fidelity) (*phase.Plan, error) {
-	opt := phase.Options{EpsilonAF: fd.PhaseEpsilonAF}
-	if fd.Mode == FidelityPhase {
-		opt.ExpandFactor = float64(fd.SamplePeriodInstrs) / float64(fd.SampleWindowInstrs)
-		opt.ExpandStart = len(tr.Timing.Samples)
-		var retired int64
-		for i := range tr.Timing.Samples {
-			if retired >= fd.SampleHeadInstrs {
-				opt.ExpandStart = i
-				break
-			}
-			retired += tr.Timing.Samples[i].Retired
+	opt := phase.Options{
+		EpsilonAF:    fd.PhaseEpsilonAF,
+		ExpandFactor: float64(fd.SamplePeriodInstrs) / float64(fd.SampleWindowInstrs),
+		ExpandStart:  len(tr.Timing.Samples),
+	}
+	var retired int64
+	for i := range tr.Timing.Samples {
+		if retired >= fd.SampleHeadInstrs {
+			opt.ExpandStart = i
+			break
 		}
+		retired += tr.Timing.Samples[i].Retired
 	}
 	return phase.Compress(tr.Timing.Samples, cfg.Machine.CyclesPerMicrosecond(), opt)
 }
 
-// runTransientPhases is the adaptive/phase-fidelity transient: the
+// runTransientPhases is the phase-fidelity transient: the
 // activity trace is compressed into stationary phases (internal/phase),
 // the dynamic-power vector is evaluated once per recurring phase class
 // (SimPoint-style memoization), and each phase is advanced with

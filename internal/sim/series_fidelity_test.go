@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/ramp-sim/ramp/internal/core"
+	"github.com/ramp-sim/ramp/internal/phase"
 	"github.com/ramp-sim/ramp/internal/power"
 	"github.com/ramp-sim/ramp/internal/scaling"
 	"github.com/ramp-sim/ramp/internal/thermal"
@@ -53,6 +54,19 @@ func newTransientFixture(t testing.TB, instructions int64) *transientFixture {
 	return &transientFixture{cfg: cfg, tr: tr, net: net, pm: pm, steady: steady}
 }
 
+// coarsePlan phase-compresses the fixture's full, unsampled trace (no
+// ExpandFactor), so the coarse integrator runs on exactly the input the
+// exact loop sees.
+func (fx *transientFixture) coarsePlan(t testing.TB, fd Fidelity) *phase.Plan {
+	t.Helper()
+	plan, err := phase.Compress(fx.tr.Timing.Samples, fx.cfg.Machine.CyclesPerMicrosecond(),
+		phase.Options{EpsilonAF: fd.PhaseEpsilonAF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 // TestThermalTransientZeroAlloc pins the exact transient loop at zero
 // heap allocations per run once the interval buffer and pooled scratch
 // are warm — the CI alloc gate for the thermal stage.
@@ -81,7 +95,7 @@ func TestThermalTransientZeroAlloc(t *testing.T) {
 // class memoization, never per-substep heap traffic.
 func TestThermalPhaseTransientSteadyStateAllocs(t *testing.T) {
 	fx := newTransientFixture(t, 100_000)
-	fd := (&Fidelity{Mode: FidelityAdaptive}).norm()
+	fd := (&Fidelity{Mode: FidelityPhase}).norm()
 	ts := &ThermalSeries{Intervals: make([]ThermalInterval, 0, len(fx.tr.Timing.Samples))}
 	ctx := context.Background()
 
@@ -89,10 +103,7 @@ func TestThermalPhaseTransientSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		ts.Intervals = ts.Intervals[:0]
 		fx.net.Init(fx.steady)
-		plan, err := compressPlan(fx.cfg, fx.tr, fd)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := fx.coarsePlan(t, fd)
 		if err := runTransientPhases(ctx, fx.net, fx.pm, plan, ts, fd); err != nil {
 			t.Fatal(err)
 		}
@@ -202,51 +213,46 @@ func TestMCCancellationCadence(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTransientTracksExact is a single-cell sanity check that the
-// coarse integrator follows the exact trajectory: aggregate temperatures
-// within a fraction of a kelvin, far fewer intervals, durations equal.
-func TestAdaptiveTransientTracksExact(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Instructions = 200_000
-	prof := workload.Profiles()[0]
-	tech := scaling.Base()
-	tr, err := RunTimingContext(context.Background(), cfg, prof)
+// TestCoarseTransientTracksExact is a single-cell sanity check that the
+// coarse integrator follows the exact trajectory on identical input (the
+// full, unsampled trace): aggregate temperatures within a fraction of a
+// kelvin, far fewer intervals, durations equal.
+func TestCoarseTransientTracksExact(t *testing.T) {
+	fx := newTransientFixture(t, 200_000)
+	exact, err := RunThermalContext(context.Background(), fx.cfg, fx.tr, scaling.Base(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := RunThermalContext(context.Background(), cfg, tr, tech, 0, 1)
-	if err != nil {
+	fd := (&Fidelity{Mode: FidelityPhase}).norm()
+	coarse := &ThermalSeries{}
+	fx.net.Init(fx.steady)
+	if err := runTransientPhases(context.Background(), fx.net, fx.pm, fx.coarsePlan(t, fd), coarse, fd); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Fidelity = &Fidelity{Mode: FidelityAdaptive}
-	adaptive, err := RunThermalContext(context.Background(), cfg, tr, tech, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(exact.AvgMaxStructTempK - adaptive.AvgMaxStructTempK); d > 0.5 {
+	if d := math.Abs(exact.AvgMaxStructTempK - coarse.AvgMaxStructTempK); d > 0.5 {
 		t.Errorf("avg hottest-structure temperature off by %.3fK", d)
 	}
-	if d := math.Abs(exact.DieAvgTempK - adaptive.DieAvgTempK); d > 0.5 {
+	if d := math.Abs(exact.DieAvgTempK - coarse.DieAvgTempK); d > 0.5 {
 		t.Errorf("die-average temperature off by %.3fK", d)
 	}
-	if d := math.Abs(exact.AvgDynamicW - adaptive.AvgDynamicW); d > 0.05*exact.AvgDynamicW {
+	if d := math.Abs(exact.AvgDynamicW - coarse.AvgDynamicW); d > 0.05*exact.AvgDynamicW {
 		t.Errorf("dynamic power off by %.3fW", d)
 	}
-	var exactDur, adaptiveDur float64
+	var exactDur, coarseDur float64
 	for i := range exact.Intervals {
 		exactDur += exact.Intervals[i].DurUS
 	}
-	for i := range adaptive.Intervals {
-		adaptiveDur += adaptive.Intervals[i].DurUS
+	for i := range coarse.Intervals {
+		coarseDur += coarse.Intervals[i].DurUS
 	}
-	if d := math.Abs(exactDur - adaptiveDur); d > 1e-6*exactDur {
-		t.Errorf("durations differ: exact %.3fµs, adaptive %.3fµs", exactDur, adaptiveDur)
+	if d := math.Abs(exactDur - coarseDur); d > 1e-6*exactDur {
+		t.Errorf("durations differ: exact %.3fµs, coarse %.3fµs", exactDur, coarseDur)
 	}
-	if len(adaptive.Intervals) >= len(exact.Intervals) {
-		t.Errorf("adaptive produced %d intervals, exact %d — no compression",
-			len(adaptive.Intervals), len(exact.Intervals))
+	if len(coarse.Intervals) >= len(exact.Intervals) {
+		t.Errorf("coarse integrator produced %d intervals, exact %d — no compression",
+			len(coarse.Intervals), len(exact.Intervals))
 	}
-	if adaptive.MaxAF != exact.MaxAF {
-		t.Error("adaptive lost the raw per-structure activity maxima")
+	if coarse.MaxAF != exact.MaxAF {
+		t.Error("coarse integrator lost the raw per-structure activity maxima")
 	}
 }

@@ -138,8 +138,7 @@ func RunTiming(cfg Config, prof workload.Profile) (*ActivityTrace, error) {
 // transient in full, then one window of SampleWindowInstrs is simulated in
 // detail out of every SamplePeriodInstrs, with the generator's O(1) Skip
 // jumping the inter-window gaps — the timing stage does ~Window/Period of
-// the exact work past the head. Exact and adaptive fidelity simulate the
-// full stream.
+// the exact work past the head. Exact fidelity simulates the full stream.
 func RunTimingContext(ctx context.Context, cfg Config, prof workload.Profile) (*ActivityTrace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

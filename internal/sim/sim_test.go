@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestRunStudyEndToEnd(t *testing.T) {
 	cfg := testConfig()
 	profiles := testProfiles(t)
 	techs := scaling.Generations()
-	res, err := RunStudy(cfg, profiles, techs)
+	res, err := RunStudyContext(context.Background(), cfg, profiles, techs, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +252,15 @@ func TestRunStudyEndToEnd(t *testing.T) {
 func TestRunStudyRejections(t *testing.T) {
 	cfg := testConfig()
 	profiles := testProfiles(t)
-	if _, err := RunStudy(cfg, nil, scaling.Generations()); err == nil {
+	if _, err := RunStudyContext(context.Background(), cfg, nil, scaling.Generations(), StudyOptions{}); err == nil {
 		t.Error("no profiles accepted")
 	}
-	if _, err := RunStudy(cfg, profiles, nil); err == nil {
+	if _, err := RunStudyContext(context.Background(), cfg, profiles, nil, StudyOptions{}); err == nil {
 		t.Error("no technologies accepted")
 	}
 	// First technology must be the 180nm calibration anchor.
 	gens := scaling.Generations()
-	if _, err := RunStudy(cfg, profiles, gens[1:]); err == nil {
+	if _, err := RunStudyContext(context.Background(), cfg, profiles, gens[1:], StudyOptions{}); err == nil {
 		t.Error("study without base technology accepted")
 	}
 }
@@ -272,11 +273,11 @@ func TestStudyDeterminism(t *testing.T) {
 	cfg.Instructions = 100_000
 	profiles := testProfiles(t)[:2]
 	techs := scaling.Generations()[:2]
-	r1, err := RunStudy(cfg, profiles, techs)
+	r1, err := RunStudyContext(context.Background(), cfg, profiles, techs, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunStudy(cfg, profiles, techs)
+	r2, err := RunStudyContext(context.Background(), cfg, profiles, techs, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

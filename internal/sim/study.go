@@ -133,21 +133,15 @@ type AppEvent struct {
 	CellsDone, CellsTotal int
 }
 
-// RunStudy executes the complete study: timing for every profile,
+// RunStudyContext executes the complete study: timing for every profile,
 // base-technology evaluation (per-application power calibration and
 // sink-temperature capture), reliability qualification, every scaled
-// technology point, and the worst-case analysis per technology.
+// technology point, and the worst-case analysis per technology. techs
+// must start with the base (180nm) technology.
 //
-// techs must start with the base (180nm) technology.
-func RunStudy(cfg Config, profiles []workload.Profile, techs []scaling.Technology) (*StudyResult, error) {
-	return RunStudyContext(context.Background(), cfg, profiles, techs, StudyOptions{})
-}
-
-// RunStudyContext is RunStudy with cancellation, bounded parallelism, and
-// progress reporting. The study runs as a dependency graph on a worker
-// pool: a profile's scaled-technology evaluations start the moment its own
-// base calibration finishes instead of waiting for the slowest profile of
-// each stage. Cancelling ctx aborts outstanding work promptly and returns
+// The study runs as a dependency graph on a worker pool: a profile's
+// scaled-technology evaluations start the moment its own base calibration
+// finishes instead of waiting for the slowest profile of each stage. Cancelling ctx aborts outstanding work promptly and returns
 // ctx.Err(); the first task failure cancels the rest of the study.
 func RunStudyContext(ctx context.Context, cfg Config, profiles []workload.Profile,
 	techs []scaling.Technology, opts StudyOptions) (*StudyResult, error) {

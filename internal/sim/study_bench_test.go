@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func BenchmarkRunStudyPipelined(b *testing.B) {
 	cfg, profiles, techs := benchStudyInputs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunStudy(cfg, profiles, techs); err != nil {
+		if _, err := RunStudyContext(context.Background(), cfg, profiles, techs, StudyOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func TestBarrieredMatchesPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStudy(cfg, profiles, techs)
+	got, err := RunStudyContext(context.Background(), cfg, profiles, techs, StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

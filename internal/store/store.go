@@ -210,9 +210,12 @@ func (s *Store[T]) Get(key string) (T, bool) {
 		if !s.expiredLocked(e) {
 			s.ll.MoveToFront(el)
 			s.stats.MemHits++
+			// Read under the lock: a concurrent Put of the same key
+			// refreshes e.val in place.
+			v := e.val
 			s.mu.Unlock()
 			s.event(OpGet, OutcomeHitMem)
-			return e.val, true
+			return v, true
 		}
 		// Only memory-only stores expire, so there is no disk tier to
 		// consult: the expired entry is a miss.

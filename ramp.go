@@ -62,7 +62,7 @@ type (
 	// Config parameterises a study: machine, power, thermal, and
 	// reliability constants, trace length, and calibration policy.
 	Config = sim.Config
-	// StudyResult is the complete output of RunStudy.
+	// StudyResult is the complete output of Runner.Study.
 	StudyResult = sim.StudyResult
 	// AppRun is one application evaluated at one technology point.
 	AppRun = sim.AppRun
@@ -76,7 +76,7 @@ type (
 	// WorstCase is the worst-case ("max") operating-point evaluation.
 	WorstCase = sim.WorstCase
 	// Fidelity selects the speed/accuracy trade of a study (nil/zero
-	// means exact); see FidelityExact, FidelityAdaptive, FidelityPhase.
+	// means exact); see FidelityExact and FidelityPhase.
 	Fidelity = sim.Fidelity
 	// FidelityMode names one fidelity level.
 	FidelityMode = sim.FidelityMode
@@ -135,8 +135,6 @@ type (
 	Lognormal = core.Lognormal
 	// LifetimeModel assigns a distribution to each failure mechanism.
 	LifetimeModel = core.LifetimeModel
-	// LifetimeEstimate summarises a Monte Carlo lifetime experiment.
-	LifetimeEstimate = core.LifetimeEstimate
 	// MCConfig parameterises a Monte Carlo lifetime study: replica count,
 	// lifetime model, percentile set, CI level, and root seed.
 	MCConfig = sim.MCConfig
@@ -248,8 +246,8 @@ const (
 	NumMechanisms = core.NumMechanisms
 )
 
-// Canonical mechanism names accepted by Config.Mechanisms,
-// WithMechanisms, and the server's mechanism selection. The paper's four
+// Canonical mechanism names accepted by Config.Mechanisms and the
+// server's mechanism selection. The paper's four
 // (em/sm/tc/tddb) are the default set; nbti, hci, and tc-rainflow are
 // post-2004 registry additions.
 const (
@@ -292,15 +290,13 @@ const (
 	SuiteFP  = workload.SuiteFP
 )
 
-// Fidelity modes: exact is the bit-identical full pipeline; adaptive
-// phase-compresses the thermal transient under an error bound; phase adds
-// systematic trace sampling on top. Non-exact modes are content-addressed
-// into every stage and result cache key, so results from different modes
-// never mix.
+// Fidelity modes: exact is the bit-identical full pipeline; phase adds
+// systematic trace sampling and phase-compresses the thermal transient
+// under an error bound. Phase mode is content-addressed into every stage
+// and result cache key, so results from different modes never mix.
 const (
-	FidelityExact    = sim.FidelityExact
-	FidelityAdaptive = sim.FidelityAdaptive
-	FidelityPhase    = sim.FidelityPhase
+	FidelityExact = sim.FidelityExact
+	FidelityPhase = sim.FidelityPhase
 )
 
 // ParseFidelityMode validates a fidelity-mode name from a flag or API
@@ -333,35 +329,8 @@ func BaseTechnology() Technology { return scaling.Base() }
 // default configuration (suite-average 1000 FIT per mechanism at 180nm).
 // Use them to convert a single application's raw breakdown into absolute
 // FIT values without re-running the full study; re-calibrate through
-// RunStudy when any model parameter changes.
+// Runner.Study when any model parameter changes.
 func ReferenceConstants() Constants { return core.ReferenceConstants() }
-
-// RunStudy executes the complete scaling study: timing simulation per
-// profile, reliability qualification at 180nm, evaluation at every
-// technology point, and the worst-case analysis. The first technology must
-// be 180nm.
-//
-// Deprecated: use ramp.New followed by Runner.Study, which adds
-// cancellation, an execution policy, and stage caching. RunStudy remains a
-// thin, supported wrapper.
-func RunStudy(cfg Config, profiles []Profile, techs []Technology) (*StudyResult, error) {
-	return sim.RunStudy(cfg, profiles, techs)
-}
-
-// RunStudyContext is RunStudy with cancellation, a bounded worker pool,
-// and progress reporting. The study executes as a dependency graph —
-// timing(profile) → base(profile) → scaled(profile, tech) — so each
-// profile's scaled evaluations start as soon as its own base calibration
-// finishes. Results are bit-identical at every parallelism level.
-//
-// Deprecated: use ramp.New with WithParallelism/WithProgress/WithMetrics/
-// WithCache followed by Runner.Study; StudyOptions is the internal
-// carrier of the same knobs. RunStudyContext remains a thin, supported
-// wrapper.
-func RunStudyContext(ctx context.Context, cfg Config, profiles []Profile,
-	techs []Technology, opts StudyOptions) (*StudyResult, error) {
-	return sim.RunStudyContext(ctx, cfg, profiles, techs, opts)
-}
 
 // RunTiming executes only the timing stage for one profile; the returned
 // trace can be evaluated at several technology points with EvaluateTech.
@@ -507,18 +476,6 @@ func SOFRLifetimes() LifetimeModel { return core.SOFRLifetimes() }
 // WearOutLifetimes returns a JEDEC-flavoured wear-out assignment:
 // lognormal EM, Weibull SM/TC/TDDB.
 func WearOutLifetimes() LifetimeModel { return core.WearOutLifetimes() }
-
-// MonteCarloLifetime estimates the processor lifetime distribution for a
-// calibrated breakdown under per-mechanism lifetime distributions,
-// quantifying the error of the SOFR constant-rate assumption (§2).
-//
-// Deprecated: use Runner.MCStudy, which samples the whole study grid in
-// parallel with per-replica seeded streams and confidence intervals. This
-// shim forwards to the same serial sampler and remains numerically stable
-// for a pinned seed.
-func MonteCarloLifetime(b Breakdown, model LifetimeModel, samples int, seed int64) (LifetimeEstimate, error) {
-	return core.MonteCarloLifetime(b, model, samples, seed)
-}
 
 // Rainflow counts the thermal cycles in a temperature series (ASTM
 // E1049). Record a series with Config.RecordThermalTrace.

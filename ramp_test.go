@@ -56,7 +56,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	cfg.Instructions = 150_000
 	profiles := ramp.Profiles()[:2]
 	techs := ramp.Technologies()[:2]
-	res, err := ramp.RunStudy(cfg, profiles, techs)
+	res, err := runDefaultStudy(cfg, profiles, techs)
 	if err != nil {
 		t.Fatal(err)
 	}

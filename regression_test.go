@@ -16,7 +16,7 @@ func TestPaperShapeRegression(t *testing.T) {
 	}
 	cfg := ramp.DefaultConfig()
 	cfg.Instructions = 300_000
-	res, err := ramp.RunStudy(cfg, ramp.Profiles(), ramp.Technologies())
+	res, err := runDefaultStudy(cfg, ramp.Profiles(), ramp.Technologies())
 	if err != nil {
 		t.Fatal(err)
 	}

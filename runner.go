@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"github.com/ramp-sim/ramp/internal/core"
 	"github.com/ramp-sim/ramp/internal/jobs"
 	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/sched"
@@ -71,7 +70,9 @@ const (
 // Runner executes studies with a fixed execution policy — parallelism,
 // progress reporting, metrics, and an optional stage cache — configured
 // once through functional options. The zero policy (ramp.New() with no
-// options) matches RunStudyContext with empty StudyOptions.
+// options) matches sim.RunStudyContext with empty StudyOptions. The
+// Runner decides only how a study runs; the Config alone decides what it
+// computes.
 //
 // A Runner is immutable after New and safe for concurrent use; concurrent
 // studies share its stage cache, so overlapping requests deduplicate work
@@ -84,8 +85,6 @@ type Runner struct {
 	tracer      *Tracer
 	batchOpts   *BatchOptions
 	jobs        *jobs.Queue
-	fidelity    *Fidelity
-	mechanisms  []string
 	ledger      *obs.Ledger
 }
 
@@ -173,42 +172,6 @@ func WithTracer(t *Tracer) Option {
 	}
 }
 
-// WithFidelity sets the Runner's default fidelity mode, applied to every
-// study whose Config leaves Fidelity nil. An explicit Config.Fidelity
-// always wins. The fidelity participates in every content-addressed stage
-// and result key, so a Runner serving mixed fidelities never cross-serves
-// cached results. Passing nil (or a validation failure) rejects the
-// option.
-func WithFidelity(f *Fidelity) Option {
-	return func(r *Runner) error {
-		if err := f.Validate(); err != nil {
-			return err
-		}
-		r.fidelity = f
-		return nil
-	}
-}
-
-// WithMechanisms sets the Runner's default failure-mechanism selection,
-// applied to every study whose Config leaves Mechanisms empty. An explicit
-// Config.Mechanisms always wins. Names resolve against the mechanism
-// registry (RegisteredMechanisms lists them) and are canonicalised here —
-// lower-cased, de-aliased, sorted, de-duplicated — so an unknown name
-// rejects the option immediately and every spelling of one set shares
-// cache entries. Passing the default four (in any order) is equivalent to
-// not setting the option at all: keys and results stay byte-identical to
-// an unconfigured Runner.
-func WithMechanisms(names ...string) Option {
-	return func(r *Runner) error {
-		canon, err := core.CanonicalMechanismNames(names)
-		if err != nil {
-			return err
-		}
-		r.mechanisms = canon
-		return nil
-	}
-}
-
 // WithLedger attaches a bounded, concurrency-safe cost ledger: every
 // Study, MCStudy, and StreamStudy appends one RunRecord — outcome, wall
 // time, per-stage wall/CPU cost, stage-cache traffic — queryable through
@@ -242,19 +205,6 @@ func (r *Runner) LedgerStats() (stats LedgerStats, ok bool) {
 	return r.ledger.Stats(), true
 }
 
-// applyFidelity fills the Runner's default fidelity and mechanism
-// selection into a config that does not set its own.
-func (r *Runner) applyFidelity(cfg Config) Config {
-	if cfg.Fidelity == nil && r.fidelity != nil {
-		f := *r.fidelity
-		cfg.Fidelity = &f
-	}
-	if len(cfg.Mechanisms) == 0 && len(r.mechanisms) > 0 {
-		cfg.Mechanisms = append([]string(nil), r.mechanisms...)
-	}
-	return cfg
-}
-
 // traceCtx installs the Runner's tracer, if any, on the study context.
 func (r *Runner) traceCtx(ctx context.Context) context.Context {
 	if r.tracer != nil {
@@ -284,14 +234,10 @@ func (r *Runner) record(kind, key string, cfg Config, nProfiles int,
 	if r.ledger == nil {
 		return
 	}
-	fidelity := string(sim.FidelityExact)
-	if cfg.Fidelity != nil && cfg.Fidelity.Mode != "" {
-		fidelity = string(cfg.Fidelity.Mode)
-	}
 	rec := RunRecord{
 		Kind:         kind,
 		Key:          key,
-		Fidelity:     fidelity,
+		Fidelity:     cfg.Fidelity.ModeName(),
 		Mechanisms:   cfg.Mechanisms,
 		Outcome:      obs.OutcomeFor(err),
 		Start:        start.UTC(),
@@ -324,7 +270,6 @@ func (r *Runner) options(onApp func(AppEvent)) StudyOptions {
 // execution policy. techs must start with the base (180nm) technology.
 func (r *Runner) Study(ctx context.Context, cfg Config, profiles []Profile,
 	techs []Technology) (*StudyResult, error) {
-	cfg = r.applyFidelity(cfg)
 	ctx, stats := r.studyCtx(ctx)
 	start := time.Now()
 	res, err := sim.RunStudyContext(ctx, cfg, profiles, techs, r.options(nil))
@@ -347,7 +292,6 @@ func (r *Runner) Study(ctx context.Context, cfg Config, profiles []Profile,
 // defaults.
 func (r *Runner) MCStudy(ctx context.Context, cfg Config, profiles []Profile,
 	techs []Technology, mcfg MCConfig, onEvent func(MCEvent)) (*MCResult, error) {
-	cfg = r.applyFidelity(cfg)
 	ctx, stats := r.studyCtx(ctx)
 	start := time.Now()
 	res, err := sim.RunMCStudyContext(ctx, cfg, mcfg, profiles, techs, r.options(nil), onEvent)
@@ -360,7 +304,7 @@ func (r *Runner) MCStudy(ctx context.Context, cfg Config, profiles []Profile,
 // Runner's stage cache when one is attached. The returned trace is
 // immutable and may be shared across concurrent evaluations.
 func (r *Runner) Timing(ctx context.Context, cfg Config, prof Profile) (*ActivityTrace, error) {
-	return sim.RunTimingCachedContext(r.traceCtx(ctx), r.applyFidelity(cfg), prof, r.cache)
+	return sim.RunTimingCachedContext(r.traceCtx(ctx), cfg, prof, r.cache)
 }
 
 // CacheStats snapshots the Runner's stage cache. ok is false when the
@@ -406,7 +350,6 @@ type StudyEvent struct {
 // so a repeated request resumes where the cancelled one left off.
 func (r *Runner) StreamStudy(ctx context.Context, cfg Config, profiles []Profile,
 	techs []Technology) (<-chan StudyEvent, error) {
-	cfg = r.applyFidelity(cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

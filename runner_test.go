@@ -9,7 +9,19 @@ import (
 	"testing"
 
 	ramp "github.com/ramp-sim/ramp"
+	"github.com/ramp-sim/ramp/internal/sim"
 )
+
+// runDefaultStudy runs one study on a Runner with the default execution
+// policy.
+func runDefaultStudy(cfg ramp.Config, profiles []ramp.Profile,
+	techs []ramp.Technology) (*ramp.StudyResult, error) {
+	runner, err := ramp.New()
+	if err != nil {
+		return nil, err
+	}
+	return runner.Study(context.Background(), cfg, profiles, techs)
+}
 
 func runnerTestInputs(t *testing.T) (ramp.Config, []ramp.Profile, []ramp.Technology) {
 	t.Helper()
@@ -19,8 +31,8 @@ func runnerTestInputs(t *testing.T) (ramp.Config, []ramp.Profile, []ramp.Technol
 }
 
 // TestRunnerStudyMatchesDeprecatedAPI: the facade must be a pure
-// re-packaging — Runner.Study and the deprecated RunStudyContext produce
-// deeply equal results.
+// re-packaging — Runner.Study and the underlying sim.RunStudyContext
+// produce deeply equal results.
 func TestRunnerStudyMatchesDeprecatedAPI(t *testing.T) {
 	cfg, profiles, techs := runnerTestInputs(t)
 	runner, err := ramp.New(ramp.WithParallelism(2))
@@ -31,13 +43,13 @@ func TestRunnerStudyMatchesDeprecatedAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ramp.RunStudyContext(context.Background(), cfg, profiles, techs,
-		ramp.StudyOptions{Parallelism: 2})
+	want, err := sim.RunStudyContext(context.Background(), cfg, profiles, techs,
+		sim.StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("Runner.Study differs from RunStudyContext")
+		t.Errorf("Runner.Study differs from sim.RunStudyContext")
 	}
 }
 
@@ -194,8 +206,8 @@ func TestRunnerStreamStudyCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := ramp.RunStudyContext(context.Background(), cfg, profiles, techs,
-		ramp.StudyOptions{})
+	reference, err := sim.RunStudyContext(context.Background(), cfg, profiles, techs,
+		sim.StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
