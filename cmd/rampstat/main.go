@@ -249,6 +249,7 @@ func render(w io.Writer, st *state, slowest int, now time.Time) {
 			agg.Misses += c.Misses
 			agg.Puts += c.Puts
 			agg.Spills += c.Spills
+			agg.DiskHits += c.DiskHits
 			caches[name] = agg
 		}
 	}
@@ -290,7 +291,11 @@ func render(w io.Writer, st *state, slowest int, now time.Time) {
 			if total > 0 {
 				rate = 100 * float64(c.Hits) / float64(total)
 			}
-			parts = append(parts, fmt.Sprintf("%s %.0f%% (%d/%d)", name, rate, c.Hits, total))
+			part := fmt.Sprintf("%s %.0f%% (%d/%d)", name, rate, c.Hits, total)
+			if c.DiskHits > 0 {
+				part += fmt.Sprintf(" disk %d", c.DiskHits)
+			}
+			parts = append(parts, part)
 		}
 		fmt.Fprintf(w, "stage caches: %s\n", strings.Join(parts, " · "))
 	}

@@ -115,3 +115,18 @@ func TestRenderEmptyState(t *testing.T) {
 		t.Errorf("empty frame = %q", b.String())
 	}
 }
+
+// TestRenderFrameDiskHits pins the disk-reuse suffix of a stage cache's
+// hit rate: shown when some hits came from spill files, absent otherwise.
+func TestRenderFrameDiskHits(t *testing.T) {
+	st := newState(10)
+	st.add(obs.RunRecord{ID: 1, Kind: "study", Outcome: obs.RunOK, Cache: map[string]obs.CacheCost{
+		"fit":     {Hits: 1, Misses: 1},
+		"thermal": {Hits: 3, Misses: 1, DiskHits: 2},
+	}})
+	var b strings.Builder
+	render(&b, st, 1, time.Date(2026, 8, 8, 10, 30, 0, 0, time.UTC))
+	if want := "stage caches: fit 50% (1/2) · thermal 75% (3/4) disk 2\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("frame missing %q\n---\n%s", want, b.String())
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -132,7 +133,7 @@ func CalibrateSet(names []string, rawSuiteAvg map[string]float64, perMechanismFI
 // processor total (SOFR).
 //
 // The paper's four mechanisms occupy the fixed ByStructMech array;
-// registry mechanisms beyond them occupy the name-keyed Extra map. A
+// registry mechanisms beyond them occupy the name-keyed Extra list. A
 // default-set breakdown has a nil Extra and marshals byte-identically to
 // pre-registry releases (cached artifacts included). The name-keyed
 // FITByName view is the primary result shape; ByMechanism remains as the
@@ -140,14 +141,74 @@ func CalibrateSet(names []string, rawSuiteAvg map[string]float64, perMechanismFI
 type Breakdown struct {
 	ByStructMech [microarch.NumStructures][NumMechanisms]float64
 	// Extra holds per-structure rates of registry mechanisms outside the
-	// paper's four, keyed by canonical mechanism name.
-	Extra map[string][microarch.NumStructures]float64 `json:"Extra,omitempty"`
+	// paper's four, sorted by canonical mechanism name.
+	Extra ExtraRates `json:"Extra,omitempty"`
+}
+
+// ExtraRate is one name-keyed mechanism's per-structure rates.
+type ExtraRate struct {
+	Name  string
+	Rates [microarch.NumStructures]float64
+}
+
+// ExtraRates lists the name-keyed mechanisms of a Breakdown, sorted by
+// name without duplicates; every float accumulation over it runs in that
+// order, so totals are bit-identical from run to run. It is a slice rather
+// than a map because the reliability stage builds one breakdown per 1µs
+// interval and results keep theirs for as long as they are cached: a
+// one-entry map costs an order of magnitude more to build and to hold than
+// one slice element. Its JSON is the map encoding — an object keyed by
+// mechanism name in sorted order — byte for byte.
+type ExtraRates []ExtraRate
+
+// find returns the index of name in x, or the index it would be inserted
+// at to keep x sorted. The lists are a handful of entries long, so a
+// linear scan beats a binary search.
+func (x ExtraRates) find(name string) (int, bool) {
+	for i := range x {
+		if x[i].Name >= name {
+			return i, x[i].Name == name
+		}
+	}
+	return len(x), false
+}
+
+// MarshalJSON encodes x as the equivalent
+// map[string][microarch.NumStructures]float64, which is what keeps the
+// wire bytes of a Breakdown unchanged.
+func (x ExtraRates) MarshalJSON() ([]byte, error) {
+	if x == nil {
+		return []byte("null"), nil
+	}
+	m := make(map[string][microarch.NumStructures]float64, len(x))
+	for _, e := range x {
+		m[e.Name] = e.Rates
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON decodes the map encoding MarshalJSON writes, sorting the
+// entries by name.
+func (x *ExtraRates) UnmarshalJSON(b []byte) error {
+	var m map[string][microarch.NumStructures]float64
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	if m == nil {
+		*x = nil
+		return nil
+	}
+	out := make(ExtraRates, 0, len(m))
+	for name, rates := range m {
+		out = append(out, ExtraRate{Name: name, Rates: rates})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	*x = out
+	return nil
 }
 
 // Total returns the processor FIT: the SOFR sum over all structures and
-// mechanisms (name-keyed mechanisms included). Extra entries accumulate
-// in sorted-name order — float addition is order-sensitive, and map
-// iteration order would otherwise make totals vary between runs.
+// mechanisms (name-keyed mechanisms included, in sorted-name order).
 func (b Breakdown) Total() float64 {
 	var sum float64
 	for s := range b.ByStructMech {
@@ -155,26 +216,12 @@ func (b Breakdown) Total() float64 {
 			sum += b.ByStructMech[s][m]
 		}
 	}
-	for _, name := range b.sortedExtraNames() {
-		for _, v := range b.Extra[name] {
+	for i := range b.Extra {
+		for _, v := range b.Extra[i].Rates {
 			sum += v
 		}
 	}
 	return sum
-}
-
-// sortedExtraNames returns the Extra keys in sorted order, the canonical
-// iteration order for any float accumulation over name-keyed mechanisms.
-func (b Breakdown) sortedExtraNames() []string {
-	if len(b.Extra) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(b.Extra))
-	for name := range b.Extra {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ByMechanism returns per-mechanism FIT summed over structures.
@@ -203,12 +250,12 @@ func (b Breakdown) FITByName() map[string]float64 {
 	for m := 0; m < NumMechanisms; m++ {
 		out[mechanismKeyName(Mechanism(m))] = mech[m]
 	}
-	for name, arr := range b.Extra {
+	for _, e := range b.Extra {
 		var sum float64
-		for _, v := range arr {
+		for _, v := range e.Rates {
 			sum += v
 		}
-		out[name] = sum
+		out[e.Name] = sum
 	}
 	return out
 }
@@ -224,8 +271,10 @@ func (b Breakdown) MechanismFIT(name string) float64 {
 		return sum
 	}
 	var sum float64
-	for _, v := range b.Extra[name] {
-		sum += v
+	if i, ok := b.Extra.find(name); ok {
+		for _, v := range b.Extra[i].Rates {
+			sum += v
+		}
 	}
 	return sum
 }
@@ -255,8 +304,8 @@ func (b Breakdown) ByStructure() [microarch.NumStructures]float64 {
 			out[s] += b.ByStructMech[s][m]
 		}
 	}
-	for _, name := range b.sortedExtraNames() {
-		for s, v := range b.Extra[name] {
+	for i := range b.Extra {
+		for s, v := range b.Extra[i].Rates {
 			out[s] += v
 		}
 	}
@@ -270,8 +319,8 @@ func (b Breakdown) MTTFYears() float64 {
 }
 
 // Equal reports exact (bitwise) equality of two breakdowns, treating nil
-// and empty Extra maps alike. Breakdown stopped being ==-comparable when
-// it gained the Extra map; use this instead.
+// and empty Extra lists alike. Breakdown stopped being ==-comparable when
+// it gained the Extra list; use this instead.
 func (b Breakdown) Equal(o Breakdown) bool {
 	if b.ByStructMech != o.ByStructMech {
 		return false
@@ -279,9 +328,8 @@ func (b Breakdown) Equal(o Breakdown) bool {
 	if len(b.Extra) != len(o.Extra) {
 		return false
 	}
-	for name, arr := range b.Extra {
-		oarr, ok := o.Extra[name]
-		if !ok || arr != oarr {
+	for i := range b.Extra {
+		if b.Extra[i] != o.Extra[i] {
 			return false
 		}
 	}
@@ -298,14 +346,7 @@ func (b Breakdown) Calibrated(c Constants) Breakdown {
 			out.ByStructMech[s][m] = b.ByStructMech[s][m] * c.K[m]
 		}
 	}
-	for name, arr := range b.Extra {
-		k := c.ExtraK(name)
-		var scaled [microarch.NumStructures]float64
-		for s, v := range arr {
-			scaled[s] = v * k
-		}
-		out.setExtra(name, scaled)
-	}
+	out.Extra = b.Extra.scaled(func(name string) float64 { return c.ExtraK(name) })
 	return out
 }
 
@@ -317,39 +358,63 @@ func (b Breakdown) scale(f float64) Breakdown {
 			out.ByStructMech[s][m] = b.ByStructMech[s][m] * f
 		}
 	}
-	for name, arr := range b.Extra {
-		var scaled [microarch.NumStructures]float64
-		for s, v := range arr {
-			scaled[s] = v * f
+	out.Extra = b.Extra.scaled(func(string) float64 { return f })
+	return out
+}
+
+// scaled returns a copy of x with each mechanism's rates multiplied by
+// factor(name).
+func (x ExtraRates) scaled(factor func(name string) float64) ExtraRates {
+	if len(x) == 0 {
+		return nil
+	}
+	out := make(ExtraRates, len(x))
+	for i := range x {
+		k := factor(x[i].Name)
+		out[i].Name = x[i].Name
+		for s, v := range x[i].Rates {
+			out[i].Rates[s] = v * k
 		}
-		out.setExtra(name, scaled)
 	}
 	return out
 }
 
-// add accumulates o (weighted by w) into b.
+// add accumulates o (weighted by w) into b. b's Extra list is updated in
+// place, so b must own it: add is only called on an Evaluator's private
+// running sum.
 func (b *Breakdown) add(o Breakdown, w float64) {
 	for s := range b.ByStructMech {
 		for m := range b.ByStructMech[s] {
 			b.ByStructMech[s][m] += o.ByStructMech[s][m] * w
 		}
 	}
-	for name, arr := range o.Extra {
-		acc := b.Extra[name]
-		for s, v := range arr {
+	for _, e := range o.Extra {
+		i, ok := b.Extra.find(e.Name)
+		if !ok {
+			b.insertExtra(i, e.Name)
+		}
+		acc := &b.Extra[i].Rates
+		for s, v := range e.Rates {
 			acc[s] += v * w
 		}
-		b.setExtra(name, acc)
 	}
 }
 
-// setExtra stores one name-keyed mechanism's per-structure rates,
-// allocating the map on first use.
+// setExtra stores one name-keyed mechanism's per-structure rates, keeping
+// Extra sorted by name. Like add, it writes b's list in place.
 func (b *Breakdown) setExtra(name string, arr [microarch.NumStructures]float64) {
-	if b.Extra == nil {
-		b.Extra = make(map[string][microarch.NumStructures]float64)
+	i, ok := b.Extra.find(name)
+	if !ok {
+		b.insertExtra(i, name)
 	}
-	b.Extra[name] = arr
+	b.Extra[i].Rates = arr
+}
+
+// insertExtra inserts a zero-rate entry for name at index i.
+func (b *Breakdown) insertExtra(i int, name string) {
+	b.Extra = append(b.Extra, ExtraRate{})
+	copy(b.Extra[i+1:], b.Extra[i:])
+	b.Extra[i] = ExtraRate{Name: name}
 }
 
 // Evaluator computes instantaneous failure rates for one technology point

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -269,5 +272,59 @@ func TestScaledTechnologyRaisesFITAtSameTemperature(t *testing.T) {
 	}
 	if math.Abs(m65[TC]-m0[TC]) > 1e-9*m0[TC] {
 		t.Errorf("TC changed across tech at fixed T")
+	}
+}
+
+// TestBreakdownJSONPinned pins the wire bytes of a breakdown with two
+// name-keyed mechanisms — recorded when Extra was a
+// map[string][7]float64 — and checks that they decode back to the same
+// breakdown, with Extra sorted by name.
+func TestBreakdownJSONPinned(t *testing.T) {
+	var b Breakdown
+	for s := range b.ByStructMech {
+		for m := range b.ByStructMech[s] {
+			b.ByStructMech[s][m] = float64(s*10+m) + 0.125
+		}
+	}
+	b.ByStructMech[0][1] = 1e-7
+	b.ByStructMech[2][3] = 3.5e21
+	// Set in reverse name order: setExtra must keep the list sorted.
+	b.setExtra("nbti", [microarch.NumStructures]float64{0.1, 0.2, 0.3, 1e-6, 5e20, 2, 9.999})
+	b.setExtra("hci", [microarch.NumStructures]float64{1.5e-7, 0, 3, 1e21, 123.456, 7e-05, -42})
+	const golden = `{"ByStructMech":[[0.125,1e-7,2.125,3.125],[10.125,11.125,12.125,13.125],` +
+		`[20.125,21.125,22.125,3.5e+21],[30.125,31.125,32.125,33.125],[40.125,41.125,42.125,43.125],` +
+		`[50.125,51.125,52.125,53.125],[60.125,61.125,62.125,63.125]],` +
+		`"Extra":{"hci":[1.5e-7,0,3,1e+21,123.456,0.00007,-42],` +
+		`"nbti":[0.1,0.2,0.3,0.000001,500000000000000000000,2,9.999]}}`
+	got, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != golden {
+		t.Fatalf("encoding drifted:\n got %s\nwant %s", got, golden)
+	}
+	var back Breakdown
+	if err := json.Unmarshal([]byte(golden), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !back.Equal(b) || !reflect.DeepEqual(back, b) {
+		t.Fatalf("decoded breakdown differs:\n got %+v\nwant %+v", back, b)
+	}
+	if back.Extra[0].Name != "hci" || back.Extra[1].Name != "nbti" {
+		t.Fatalf("decoded Extra not sorted: %+v", back.Extra)
+	}
+
+	// Without name-keyed mechanisms Extra is omitted, and null decodes
+	// to nil.
+	got, err = json.Marshal(Breakdown{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var none Breakdown
+	if err := json.Unmarshal([]byte(`{"Extra":null}`), &none); err != nil || none.Extra != nil {
+		t.Fatalf("null Extra decoded to %+v (%v)", none.Extra, err)
+	}
+	if strings.Contains(string(got), "Extra") {
+		t.Fatalf("empty Extra encoded: %s", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/ramp-sim/ramp/internal/microarch"
 	"github.com/ramp-sim/ramp/internal/phys"
@@ -128,19 +127,13 @@ func NewLifetimeSampler(b Breakdown, model LifetimeModel) (*LifetimeSampler, err
 			cells = append(cells, samplerCell{model.Dist[m], phys.MTTFHoursFromFIT(fit)})
 		}
 	}
-	extraNames := make([]string, 0, len(b.Extra))
-	for name := range b.Extra {
-		extraNames = append(extraNames, name)
-	}
-	sort.Strings(extraNames)
-	for _, name := range extraNames {
-		d := model.DistFor(name)
+	for _, e := range b.Extra {
+		d := model.DistFor(e.Name)
 		if d == nil {
-			return nil, fmt.Errorf("core: no lifetime distribution for mechanism %s (model has no fallback)", name)
+			return nil, fmt.Errorf("core: no lifetime distribution for mechanism %s (model has no fallback)", e.Name)
 		}
-		arr := b.Extra[name]
 		for s := 0; s < microarch.NumStructures; s++ {
-			fit := arr[s]
+			fit := e.Rates[s]
 			if fit <= 0 {
 				continue
 			}

@@ -78,6 +78,9 @@ type CacheCost struct {
 	Misses int `json:"misses"`
 	Puts   int `json:"puts"`
 	Spills int `json:"spills"`
+	// DiskHits counts the Hits decoded from spill files rather than
+	// served from memory.
+	DiskHits int `json:"disk_hits,omitempty"`
 }
 
 // RunRecord is one completed run as the ledger records it: identity
@@ -206,7 +209,7 @@ func (r *RunStats) SpanEnded(sp *Span) {
 		}
 		r.mu.Unlock()
 	case SpanCacheGet, SpanCachePut:
-		var stage, result string
+		var stage, result, tier string
 		spilled := false
 		for _, a := range sp.Attrs() {
 			switch a.Key {
@@ -214,6 +217,8 @@ func (r *RunStats) SpanEnded(sp *Span) {
 				stage = a.Value
 			case "result":
 				result = a.Value
+			case "tier":
+				tier = a.Value
 			case "spilled":
 				spilled = a.Value == "true"
 			}
@@ -231,6 +236,9 @@ func (r *RunStats) SpanEnded(sp *Span) {
 			switch result {
 			case "hit":
 				c.Hits++
+				if tier == "disk" {
+					c.DiskHits++
+				}
 			case "miss":
 				c.Misses++
 			}
@@ -288,6 +296,7 @@ func (r *RunStats) Fill(rec *RunRecord) {
 		cc.Misses += c.Misses
 		cc.Puts += c.Puts
 		cc.Spills += c.Spills
+		cc.DiskHits += c.DiskHits
 		rec.Cache[stage] = cc
 	}
 	rec.Cells += r.cells

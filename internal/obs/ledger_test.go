@@ -323,3 +323,35 @@ func TestRunStatsAggregation(t *testing.T) {
 			rec.Stages, rec.Cells, rec.Replicas)
 	}
 }
+
+// TestRunStatsDiskHits pins the disk-tier share of stage-cache hits: a
+// store.get span tagged tier=disk counts as a hit and a disk hit, and the
+// field appears on the wire only when non-zero.
+func TestRunStatsDiskHits(t *testing.T) {
+	stats := NewRunStats()
+	ctx := WithTracer(context.Background(), NewTracer(stats))
+	finish := func(name string, attrs ...Attr) {
+		_, sp := StartSpan(ctx, name)
+		for _, a := range attrs {
+			sp.SetAttr(a.Key, a.Value)
+		}
+		sp.Finish()
+	}
+	finish(SpanCacheGet, Attr{"stage", "thermal"}, Attr{"result", "hit"}, Attr{"tier", "disk"})
+	finish(SpanCacheGet, Attr{"stage", "thermal"}, Attr{"result", "hit"}, Attr{"tier", "mem"})
+	finish(SpanCacheGet, Attr{"stage", "thermal"}, Attr{"result", "miss"})
+	var rec RunRecord
+	stats.Fill(&rec)
+	stats.Fill(&rec)
+	c := rec.Cache["thermal"]
+	if c.Hits != 4 || c.DiskHits != 2 || c.Misses != 2 {
+		t.Fatalf("cache cost = %+v, want 4 hits of which 2 disk, 2 misses", c)
+	}
+	got, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"hits":4,"misses":2,"puts":0,"spills":0,"disk_hits":2}`; string(got) != want {
+		t.Errorf("encoding = %s, want %s", got, want)
+	}
+}

@@ -37,7 +37,7 @@ const (
 	// and "replicas" attributes).
 	SpanMCBatch = "sim.mc.batch"
 	// SpanCacheGet wraps one stage-cache lookup ("stage" and "result"
-	// attributes).
+	// attributes, plus "tier" — "mem" or "disk" — on a hit).
 	SpanCacheGet = "store.get"
 	// SpanCachePut wraps one stage-cache insert.
 	SpanCachePut = "store.put"

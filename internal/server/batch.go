@@ -491,7 +491,7 @@ func (s *Server) runBatchItem(ctx context.Context, p batchPayload) (any, string,
 	switch item.Kind {
 	case sim.JobStudy:
 		key := p.studyKey
-		if v, ok := s.cache.Get(key); ok {
+		if v, tier := s.cache.Get(key); tier.Hit() {
 			return v.(*sim.StudyResult), obs.ResultHit, nil, nil
 		}
 		job := jobs.JobFrom(ctx)
@@ -511,7 +511,7 @@ func (s *Server) runBatchItem(ctx context.Context, p batchPayload) (any, string,
 		if err != nil {
 			return nil, "", nil, err
 		}
-		if v, ok := s.cache.Get(mcKey); ok {
+		if v, tier := s.cache.Get(mcKey); tier.Hit() {
 			return v.(*sim.MCResult), obs.ResultHit, nil, nil
 		}
 		job := jobs.JobFrom(ctx)

@@ -24,18 +24,18 @@ func TestCacheLRUEviction(t *testing.T) {
 		c.Put(cacheKey(fmt.Sprint("k", i)), i)
 	}
 	// Touch k0 so k1 becomes the eviction candidate.
-	if _, ok := c.Get(cacheKey("k0")); !ok {
+	if _, tier := c.Get(cacheKey("k0")); !tier.Hit() {
 		t.Fatal("k0 missing before eviction")
 	}
 	c.Put(cacheKey("k3"), 3)
 	if c.Len() != 3 {
 		t.Fatalf("cache holds %d entries, want 3", c.Len())
 	}
-	if _, ok := c.Get(cacheKey("k1")); ok {
+	if _, tier := c.Get(cacheKey("k1")); tier.Hit() {
 		t.Error("k1 survived eviction despite being least recently used")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.Get(cacheKey(k)); !ok {
+		if _, tier := c.Get(cacheKey(k)); !tier.Hit() {
 			t.Errorf("%s evicted unexpectedly", k)
 		}
 	}

@@ -218,7 +218,7 @@ func (s *Server) handleStudyMC(w http.ResponseWriter, r *http.Request) {
 
 	// Whole-result cache hit: replay the cell summaries instantly, no
 	// admission slot.
-	if v, ok := s.cache.Get(mcKey); ok {
+	if v, tier := s.cache.Get(mcKey); tier.Hit() {
 		s.obs.mcStudies.Inc()
 		res := v.(*sim.MCResult)
 		if s.ledger != nil {

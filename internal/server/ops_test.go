@@ -306,6 +306,33 @@ func TestOpsRunRecordCostsFromRealStudy(t *testing.T) {
 	}
 }
 
+// TestOpsRunRecordDiskReuse: a server started over another's spill
+// directory serves the same study from the spilled FIT artifacts, and its
+// run record says so through the stage caches' disk_hits.
+func TestOpsRunRecordDiskReuse(t *testing.T) {
+	dir := t.TempDir()
+	const study = "/v1/study?apps=ammp&techs=130nm"
+	first := newTestServer(t, func(c *Config) { c.CacheDir = dir })
+	if rec, _ := get(t, first, study); rec.Code != http.StatusOK {
+		t.Fatalf("first study status = %d", rec.Code)
+	}
+	if c := opsRuns(t, first, "").Runs[0].Cache["fit"]; c.DiskHits != 0 || c.Puts == 0 {
+		t.Fatalf("cold run fit cache = %+v, want puts and no disk hits", c)
+	}
+
+	second := newTestServer(t, func(c *Config) { c.CacheDir = dir })
+	if rec, _ := get(t, second, study); rec.Code != http.StatusOK {
+		t.Fatalf("second study status = %d", rec.Code)
+	}
+	rec := opsRuns(t, second, "").Runs[0]
+	if c := rec.Cache["fit"]; c.DiskHits != 2 || c.Hits != 2 || c.Misses != 0 {
+		t.Fatalf("warm-from-disk fit cache = %+v, want both cells as disk hits", c)
+	}
+	if rec.CellsComputed != 0 {
+		t.Errorf("cells computed = %d, want 0", rec.CellsComputed)
+	}
+}
+
 // TestOpsRunRecordFailure: a failed study is ledgered with outcome
 // "error" and the failure message.
 func TestOpsRunRecordFailure(t *testing.T) {

@@ -847,7 +847,7 @@ func (s *Server) study(ctx context.Context, req StudyRequest) (*sim.StudyResult,
 	}
 	meta := StudyMeta{Key: key, Cache: "hit"}
 	served := s.now()
-	if v, ok := s.cache.Get(key); ok {
+	if v, tier := s.cache.Get(key); tier.Hit() {
 		if s.ledger != nil {
 			s.appendRun(s.newRunRecord(ctx, "study", key, cfg, len(profiles), served, obs.ResultHit, nil))
 		}

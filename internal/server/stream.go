@@ -104,7 +104,7 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 	served := s.now()
 
 	// Whole-study cache hit: replay the grid instantly, no admission slot.
-	if v, ok := s.cache.Get(key); ok {
+	if v, tier := s.cache.Get(key); tier.Hit() {
 		s.obs.streams.Inc()
 		res := v.(*sim.StudyResult)
 		if s.ledger != nil {

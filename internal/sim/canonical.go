@@ -98,6 +98,21 @@ func hashKey(v any) (string, error) {
 // thermal keys untouched (their artifacts are reusable), while a trace
 // length or machine change must invalidate all three.
 
+// Stage model versions. Each is hashed into its stage's key inputs
+// (omitted while 0, so the keys recorded before versioning stay valid) and
+// written into every spill frame of its stage store. Bump a stage's
+// version whenever the stage computes different output from the same
+// inputs; the pinned output digests (internal/workload and
+// internal/microarch for timing, digest_test.go here for thermal and FIT)
+// fail until the bump and a newly recorded digest land together. A stage
+// key hashes its upstream stage's key, so a bump invalidates that stage's
+// artifacts and everything downstream of them.
+const (
+	TimingModelVersion  = 0
+	ThermalModelVersion = 0
+	FITModelVersion     = 0
+)
+
 // timingStageInputs are the fields the timing stage reads: the simulated
 // machine, the trace length, and the workload itself. Technology, power,
 // thermal, and reliability parameters deliberately do not appear — the
@@ -111,6 +126,7 @@ type timingStageInputs struct {
 	Instructions int64                 `json:"instructions"`
 	Profile      workload.Profile      `json:"profile"`
 	Fidelity     *fidelityTimingInputs `json:"fidelity,omitempty"`
+	ModelVersion int                   `json:"model_version,omitempty"`
 }
 
 // TimingKey returns the content-addressed key of the timing stage for one
@@ -121,6 +137,7 @@ func TimingKey(cfg Config, prof workload.Profile) (string, error) {
 		Instructions: cfg.Instructions,
 		Profile:      prof,
 		Fidelity:     timingFidelityKeyInputs(cfg.Fidelity),
+		ModelVersion: TimingModelVersion,
 	})
 }
 
@@ -134,13 +151,14 @@ func TimingKey(cfg Config, prof workload.Profile) (string, error) {
 // per-sample transient with phase-compressed error-bounded integration;
 // exact omits it so pre-fidelity keys stay valid.
 type thermalStageInputs struct {
-	TimingKey string                 `json:"timing_key"`
-	Power     power.Params           `json:"power"`
-	Thermal   thermal.Params         `json:"thermal"`
-	Calibrate bool                   `json:"calibrate_app_power"`
-	Base      scaling.Technology     `json:"base"`
-	Tech      scaling.Technology     `json:"tech"`
-	Fidelity  *fidelityThermalInputs `json:"fidelity,omitempty"`
+	TimingKey    string                 `json:"timing_key"`
+	Power        power.Params           `json:"power"`
+	Thermal      thermal.Params         `json:"thermal"`
+	Calibrate    bool                   `json:"calibrate_app_power"`
+	Base         scaling.Technology     `json:"base"`
+	Tech         scaling.Technology     `json:"tech"`
+	Fidelity     *fidelityThermalInputs `json:"fidelity,omitempty"`
+	ModelVersion int                    `json:"model_version,omitempty"`
 }
 
 // ThermalKey returns the content-addressed key of the power+thermal stage
@@ -150,14 +168,21 @@ func ThermalKey(cfg Config, prof workload.Profile, tech scaling.Technology) (str
 	if err != nil {
 		return "", err
 	}
+	return thermalKeyFrom(cfg, tk, tech)
+}
+
+// thermalKeyFrom is ThermalKey from the profile's timing key, which a
+// study derives once per profile rather than once per cell.
+func thermalKeyFrom(cfg Config, timingKey string, tech scaling.Technology) (string, error) {
 	return hashKey(thermalStageInputs{
-		TimingKey: tk,
-		Power:     cfg.Power,
-		Thermal:   cfg.Thermal,
-		Calibrate: cfg.CalibrateAppPower,
-		Base:      scaling.Base(),
-		Tech:      tech,
-		Fidelity:  thermalFidelityKeyInputs(cfg.Fidelity),
+		TimingKey:    timingKey,
+		Power:        cfg.Power,
+		Thermal:      cfg.Thermal,
+		Calibrate:    cfg.CalibrateAppPower,
+		Base:         scaling.Base(),
+		Tech:         tech,
+		Fidelity:     thermalFidelityKeyInputs(cfg.Fidelity),
+		ModelVersion: ThermalModelVersion,
 	})
 }
 
@@ -172,10 +197,11 @@ func ThermalKey(cfg Config, prof workload.Profile, tech scaling.Technology) (str
 // reads it — thermal artifacts are shared across mechanism selections,
 // which is what makes mechanism ablations nearly free on a warm cache.
 type fitStageInputs struct {
-	ThermalKey  string      `json:"thermal_key"`
-	RAMP        core.Params `json:"ramp"`
-	RecordTrace bool        `json:"record_thermal_trace"`
-	Mechanisms  []string    `json:"mechanisms,omitempty"`
+	ThermalKey   string      `json:"thermal_key"`
+	RAMP         core.Params `json:"ramp"`
+	RecordTrace  bool        `json:"record_thermal_trace"`
+	Mechanisms   []string    `json:"mechanisms,omitempty"`
+	ModelVersion int         `json:"model_version,omitempty"`
 }
 
 // fitInputsFor assembles the reliability-stage key inputs for a config,
@@ -187,10 +213,11 @@ func fitInputsFor(cfg Config, thermalKey string) (fitStageInputs, error) {
 		return fitStageInputs{}, fmt.Errorf("sim: %w", err)
 	}
 	return fitStageInputs{
-		ThermalKey:  thermalKey,
-		RAMP:        cfg.RAMP,
-		RecordTrace: cfg.RecordThermalTrace,
-		Mechanisms:  canon,
+		ThermalKey:   thermalKey,
+		RAMP:         cfg.RAMP,
+		RecordTrace:  cfg.RecordThermalTrace,
+		Mechanisms:   canon,
+		ModelVersion: FITModelVersion,
 	}, nil
 }
 

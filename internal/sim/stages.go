@@ -42,15 +42,15 @@ type StageCache struct {
 // NewStageCache builds the three per-stage stores.
 func NewStageCache(opts StageCacheOptions) (*StageCache, error) {
 	so := store.Options{MaxEntries: opts.MaxEntries, Dir: opts.Dir, Observer: opts.Observer}
-	timing, err := store.New("timing", so, store.JSONCodec[*ActivityTrace]())
+	timing, err := store.New("timing", so, timingCodec())
 	if err != nil {
 		return nil, err
 	}
-	thermal, err := store.New("thermal", so, store.JSONCodec[*ThermalSeries]())
+	thermal, err := store.New("thermal", so, thermalCodec())
 	if err != nil {
 		return nil, err
 	}
-	fit, err := store.New("fit", so, store.JSONCodec[*AppRun]())
+	fit, err := store.New("fit", so, fitCodec())
 	if err != nil {
 		return nil, err
 	}
@@ -114,20 +114,22 @@ func RunTimingCachedContext(ctx context.Context, cfg Config, prof workload.Profi
 }
 
 // cacheGet wraps one stage-store lookup in a store.get span carrying the
-// stage and its hit/miss result.
+// stage, its hit/miss result and, for a hit, the tier (mem or disk) that
+// served it.
 func cacheGet[T any](ctx context.Context, st *store.Store[T], stage, key string) (T, bool) {
 	_, sp := obs.StartSpan(ctx, obs.SpanCacheGet)
-	v, ok := st.Get(key)
+	v, tier := st.Get(key)
 	if sp != nil {
 		sp.SetAttr("stage", stage)
-		if ok {
+		if tier.Hit() {
 			sp.SetAttr("result", "hit")
+			sp.SetAttr("tier", tier.String())
 		} else {
 			sp.SetAttr("result", "miss")
 		}
 		sp.Finish()
 	}
-	return v, ok
+	return v, tier.Hit()
 }
 
 // cachePut wraps one stage-store insert in a store.put span carrying the
@@ -144,9 +146,9 @@ func cachePut[T any](ctx context.Context, st *store.Store[T], stage, key string,
 	}
 }
 
-// cellKeys derives both per-cell keys once.
-func cellKeys(cfg Config, prof workload.Profile, tech scaling.Technology) (thermalKey, fitKey string, err error) {
-	thermalKey, err = ThermalKey(cfg, prof, tech)
+// cellKeys derives both per-cell keys from the profile's timing key.
+func cellKeys(cfg Config, timingKey string, tech scaling.Technology) (thermalKey, fitKey string, err error) {
+	thermalKey, err = thermalKeyFrom(cfg, timingKey, tech)
 	if err != nil {
 		return "", "", err
 	}

@@ -199,6 +199,14 @@ func RunStudyContext(ctx context.Context, cfg Config, profiles []workload.Profil
 	for ti := 1; ti < len(techs); ti++ {
 		s.scaled[ti] = make([]AppRun, n)
 	}
+	if s.cache != nil {
+		s.timingKeys = make([]string, n)
+		for i := range profiles {
+			if s.timingKeys[i], err = TimingKey(cfg, profiles[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
 	worst := make([]WorstCase, len(techs))
 	var consts core.Constants
 
@@ -356,6 +364,10 @@ type studyRun struct {
 	techs    []scaling.Technology
 	cache    *StageCache
 	onApp    func(AppEvent)
+	// timingKeys holds each profile's TimingKey when cache is set: every
+	// cell key of the profile hashes it, and it is the costliest of the
+	// three to derive.
+	timingKeys []string
 
 	traces  []*ActivityTrace
 	traceMu []sync.Mutex // per-profile: serialises lazy trace materialisation
@@ -400,7 +412,7 @@ func (s *studyRun) ensureTrace(ctx context.Context, i int) (*ActivityTrace, erro
 // evicted before use); ensureTrace covers the race.
 func (s *studyRun) profileNeedsTrace(i int) bool {
 	for ti := range s.techs {
-		thermalKey, fitKey, err := cellKeys(s.cfg, s.profiles[i], s.techs[ti])
+		thermalKey, fitKey, err := cellKeys(s.cfg, s.timingKeys[i], s.techs[ti])
 		if err != nil {
 			return true // surface the key error on the cell path
 		}
@@ -469,7 +481,7 @@ func (s *studyRun) cellResolve(ctx context.Context, i int, tech scaling.Technolo
 	var thermalKey, fitKey string
 	if s.cache != nil {
 		var err error
-		thermalKey, fitKey, err = cellKeys(s.cfg, s.profiles[i], tech)
+		thermalKey, fitKey, err = cellKeys(s.cfg, s.timingKeys[i], tech)
 		if err != nil {
 			return AppRun{}, "", err
 		}

@@ -1,12 +1,14 @@
 // Package store is a content-addressed artifact cache for the staged
 // simulation pipeline. Artifacts are keyed by the hex SHA-256 of the
 // canonical encoding of everything that produced them (internal/sim's
-// per-stage keys), so a hit is — by construction — the exact output of the
-// requested computation and no validation beyond the key is needed.
+// per-stage keys, which include each stage's model version), so a hit is
+// — by construction — the exact output of the requested computation.
 //
 // A Store keeps decoded artifacts in a bounded in-memory LRU and can
 // optionally spill the encoded form to a directory, so a cold process (or
-// a CLI run) restarts with a warm cache. Disk I/O failures degrade to
+// a CLI run) restarts with a warm cache. Each spill file is a checksummed
+// frame (frame.go) that is verified on every read; a file that fails any
+// check is removed and counted, never served. Disk I/O failures degrade to
 // cache misses: the store never fails a lookup or an insert because the
 // spill tier is unhealthy, it only counts the error. A memory-only store
 // can also expire entries after a TTL, which is how rampd bounds the age
@@ -15,7 +17,6 @@ package store
 
 import (
 	"container/list"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,22 +75,47 @@ type Event struct {
 	Outcome string
 }
 
-// Codec serialises artifacts for the disk tier.
+// Codec serialises artifacts for the disk tier. The store wraps every
+// payload in a frame carrying Schema and Version, and reads a file back
+// only when both match the codec's; Decode never sees a payload that
+// failed the frame's length or checksum test.
 type Codec[T any] struct {
-	Encode func(T) ([]byte, error)
+	// Schema identifies the payload layout Encode writes. Change it with
+	// the layout.
+	Schema uint32
+	// Version is the model version of the stage whose output the store
+	// holds.
+	Version uint32
+	// Encode appends the payload encoding of v to dst.
+	Encode func(dst []byte, v T) ([]byte, error)
+	// Decode parses a payload Encode wrote.
 	Decode func([]byte) (T, error)
 }
 
-// JSONCodec returns the default JSON artifact codec.
-func JSONCodec[T any]() Codec[T] {
-	return Codec[T]{
-		Encode: func(v T) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (T, error) {
-			var v T
-			err := json.Unmarshal(b, &v)
-			return v, err
-		},
+// Tier names where a lookup found its artifact.
+type Tier uint8
+
+const (
+	// TierMiss means the lookup found nothing.
+	TierMiss Tier = iota
+	// TierMem means the artifact was resident in memory.
+	TierMem
+	// TierDisk means the artifact was decoded from its spill file.
+	TierDisk
+)
+
+// Hit reports whether the lookup found the artifact.
+func (t Tier) Hit() bool { return t != TierMiss }
+
+// String returns "mem", "disk" or "miss".
+func (t Tier) String() string {
+	switch t {
+	case TierMem:
+		return "mem"
+	case TierDisk:
+		return "disk"
 	}
+	return "miss"
 }
 
 // Stats is a consistent snapshot of a store's counters. MemHits and
@@ -197,12 +223,15 @@ func validKey(key string) bool {
 	return true
 }
 
-// Get returns the artifact for key, consulting the memory tier then the
-// disk tier. A disk hit decodes the artifact and promotes it to memory.
-func (s *Store[T]) Get(key string) (T, bool) {
+// Get returns the artifact for key and the tier that served it,
+// consulting the memory tier then the disk tier. A disk hit verifies the
+// spill frame, decodes the artifact and promotes it to memory; a file that
+// fails verification or decoding is removed, counted as one disk failure,
+// and the lookup is a miss.
+func (s *Store[T]) Get(key string) (T, Tier) {
 	var zero T
 	if !validKey(key) {
-		return zero, false
+		return zero, TierMiss
 	}
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
@@ -215,7 +244,7 @@ func (s *Store[T]) Get(key string) (T, bool) {
 			v := e.val
 			s.mu.Unlock()
 			s.event(OpGet, OutcomeHitMem)
-			return v, true
+			return v, TierMem
 		}
 		// Only memory-only stores expire, so there is no disk tier to
 		// consult: the expired entry is a miss.
@@ -225,7 +254,7 @@ func (s *Store[T]) Get(key string) (T, bool) {
 		s.stats.Misses++
 		s.mu.Unlock()
 		s.event(OpGet, OutcomeMiss)
-		return zero, false
+		return zero, TierMiss
 	}
 	dir := s.dir
 	s.mu.Unlock()
@@ -235,7 +264,7 @@ func (s *Store[T]) Get(key string) (T, bool) {
 		// serialise unrelated lookups.
 		path := s.path(key)
 		if b, err := os.ReadFile(path); err == nil {
-			if v, err := s.codec.Decode(b); err == nil {
+			if v, err := decodeFrame(s.codec, b); err == nil {
 				s.mu.Lock()
 				s.stats.DiskHits++
 				evicted := s.admitLocked(key, v)
@@ -244,11 +273,11 @@ func (s *Store[T]) Get(key string) (T, bool) {
 				for ; evicted > 0; evicted-- {
 					s.event(OpEvict, OutcomeOK)
 				}
-				return v, true
+				return v, TierDisk
 			}
-			// Quarantine the undecodable file so it is counted once, not
-			// re-read on every lookup. Should a good re-spill of the same
-			// key race this removal, the cost is one recompute.
+			// Quarantine the bad file so it is counted once, not re-read
+			// on every lookup. Should a good re-spill of the same key race
+			// this removal, the cost is one recompute.
 			os.Remove(path)
 			s.noteDiskFailure()
 		}
@@ -257,7 +286,7 @@ func (s *Store[T]) Get(key string) (T, bool) {
 	s.stats.Misses++
 	s.mu.Unlock()
 	s.event(OpGet, OutcomeMiss)
-	return zero, false
+	return zero, TierMiss
 }
 
 // Peek returns the live memory-tier value for key without touching the
@@ -312,7 +341,7 @@ type PutInfo struct {
 }
 
 // Put stores the artifact under key in the memory tier and, when spill is
-// configured, writes the encoded form to disk (atomically, via a temp file
+// configured, writes its frame to disk (atomically, via a temp file
 // rename). Re-putting an existing key refreshes its LRU position and TTL.
 func (s *Store[T]) Put(key string, v T) PutInfo {
 	if !validKey(key) {
@@ -332,7 +361,7 @@ func (s *Store[T]) Put(key string, v T) PutInfo {
 	if dir == "" {
 		return info
 	}
-	b, err := s.codec.Encode(v)
+	b, err := encodeFrame(s.codec, v)
 	if err != nil {
 		s.noteDiskFailure()
 		s.event(OpSpill, OutcomeError)
@@ -392,9 +421,11 @@ func (s *Store[T]) admitLocked(key string, v T) int {
 	return evicted
 }
 
-// path maps a key to its spill file.
+// path maps a key to its spill file. Files of any other extension — the
+// unframed <key>.json spills of earlier releases among them — are never
+// read.
 func (s *Store[T]) path(key string) string {
-	return filepath.Join(s.dir, key+".json")
+	return filepath.Join(s.dir, key+".bin")
 }
 
 func (s *Store[T]) noteDiskFailure() {

@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,23 +17,47 @@ type artifact struct {
 	Vals []float64 `json:"vals"`
 }
 
+// testCodec is a JSON payload codec for the store's own tests; the stage
+// stores' codecs live with their artifacts in internal/sim.
+func testCodec[T any]() Codec[T] {
+	return Codec[T]{
+		Schema:  7,
+		Version: 3,
+		Encode: func(dst []byte, v T) ([]byte, error) {
+			b, err := json.Marshal(v)
+			return append(dst, b...), err
+		},
+		Decode: func(b []byte) (T, error) {
+			var v T
+			err := json.Unmarshal(b, &v)
+			return v, err
+		},
+	}
+}
+
+// lookup is Get reduced to the comma-ok form.
+func lookup[T any](s *Store[T], key string) (T, bool) {
+	v, tier := s.Get(key)
+	return v, tier.Hit()
+}
+
 func key(i int) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))
 	return hex.EncodeToString(sum[:])
 }
 
 func TestStoreMemoryRoundTrip(t *testing.T) {
-	s, err := New[artifact]("t", Options{MaxEntries: 4}, JSONCodec[artifact]())
+	s, err := New[artifact]("t", Options{MaxEntries: 4}, testCodec[artifact]())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := artifact{Name: "a", Vals: []float64{1, 2.5}}
 	s.Put(key(1), want)
-	got, ok := s.Get(key(1))
+	got, ok := lookup(s, key(1))
 	if !ok || got.Name != "a" || len(got.Vals) != 2 {
 		t.Fatalf("get = %+v, %v", got, ok)
 	}
-	if _, ok := s.Get(key(2)); ok {
+	if _, ok := lookup(s, key(2)); ok {
 		t.Fatal("phantom hit")
 	}
 	st := s.Stats()
@@ -42,20 +67,20 @@ func TestStoreMemoryRoundTrip(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	s, err := New[int]("t", Options{MaxEntries: 2}, JSONCodec[int]())
+	s, err := New[int]("t", Options{MaxEntries: 2}, testCodec[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Put(key(1), 1)
 	s.Put(key(2), 2)
-	if _, ok := s.Get(key(1)); !ok { // promote 1; 2 becomes LRU
+	if _, ok := lookup(s, key(1)); !ok { // promote 1; 2 becomes LRU
 		t.Fatal("missing 1")
 	}
 	s.Put(key(3), 3)
-	if _, ok := s.Get(key(2)); ok {
+	if _, ok := lookup(s, key(2)); ok {
 		t.Fatal("2 should have been evicted")
 	}
-	if _, ok := s.Get(key(1)); !ok {
+	if _, ok := lookup(s, key(1)); !ok {
 		t.Fatal("1 should have survived")
 	}
 	if st := s.Stats(); st.Evicted != 1 || st.Entries != 2 {
@@ -70,7 +95,7 @@ func TestStoreRejectsBadKeys(t *testing.T) {
 	}
 	for _, k := range []string{"", "short", "../../../../etc/passwd", "ZZZZZZZZZZZZZZZZZZ"} {
 		s.Put(k, 1)
-		if _, ok := s.Get(k); ok {
+		if _, ok := lookup(s, k); ok {
 			t.Fatalf("bad key %q accepted", k)
 		}
 		if s.Contains(k) {
@@ -84,13 +109,13 @@ func TestStoreRejectsBadKeys(t *testing.T) {
 
 func TestStoreDiskSpill(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New[artifact]("thermal", Options{MaxEntries: 1, Dir: dir}, JSONCodec[artifact]())
+	s, err := New[artifact]("thermal", Options{MaxEntries: 1, Dir: dir}, testCodec[artifact]())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Put(key(1), artifact{Name: "one"})
 	s.Put(key(2), artifact{Name: "two"}) // evicts 1 from memory; disk keeps it
-	if got, ok := s.Get(key(1)); !ok || got.Name != "one" {
+	if got, ok := lookup(s, key(1)); !ok || got.Name != "one" {
 		t.Fatalf("disk tier lost key 1: %+v, %v", got, ok)
 	}
 	if st := s.Stats(); st.DiskHits != 1 {
@@ -98,14 +123,14 @@ func TestStoreDiskSpill(t *testing.T) {
 	}
 
 	// A fresh store over the same directory starts warm.
-	s2, err := New[artifact]("thermal", Options{MaxEntries: 4, Dir: dir}, JSONCodec[artifact]())
+	s2, err := New[artifact]("thermal", Options{MaxEntries: 4, Dir: dir}, testCodec[artifact]())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s2.Contains(key(2)) {
 		t.Fatal("fresh store does not see spilled artifact")
 	}
-	if got, ok := s2.Get(key(2)); !ok || got.Name != "two" {
+	if got, ok := lookup(s2, key(2)); !ok || got.Name != "two" {
 		t.Fatalf("fresh store get = %+v, %v", got, ok)
 	}
 
@@ -118,16 +143,16 @@ func TestStoreDiskSpill(t *testing.T) {
 
 func TestStoreDiskCorruptionDegradesToMiss(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New[artifact]("x", Options{MaxEntries: 1, Dir: dir}, JSONCodec[artifact]())
+	s, err := New[artifact]("x", Options{MaxEntries: 1, Dir: dir}, testCodec[artifact]())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Put(key(1), artifact{Name: "one"})
 	s.Put(key(2), artifact{Name: "two"}) // push 1 to disk only
-	if err := os.WriteFile(filepath.Join(dir, "x", key(1)+".json"), []byte("{garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "x", key(1)+".bin"), []byte("{garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(key(1)); ok {
+	if _, ok := lookup(s, key(1)); ok {
 		t.Fatal("corrupt artifact served")
 	}
 	if st := s.Stats(); st.DiskFailures != 1 || st.Misses != 1 {
@@ -135,13 +160,13 @@ func TestStoreDiskCorruptionDegradesToMiss(t *testing.T) {
 	}
 	// The undecodable file is quarantined: a second lookup is a plain
 	// miss that re-reads nothing, and the key is no longer reported.
-	if _, ok := s.Get(key(1)); ok {
+	if _, ok := lookup(s, key(1)); ok {
 		t.Fatal("corrupt artifact served on second lookup")
 	}
 	if st := s.Stats(); st.DiskFailures != 1 || st.Misses != 2 {
 		t.Fatalf("stats after second lookup = %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "x", key(1)+".json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "x", key(1)+".bin")); !os.IsNotExist(err) {
 		t.Fatalf("corrupt spill file still present: %v", err)
 	}
 	if s.Contains(key(1)) {
@@ -164,7 +189,7 @@ func TestStoreTTLExpiry(t *testing.T) {
 	if v, ok := s.Peek(key(1)); !ok || v != "v" {
 		t.Fatal("peek missed a live entry")
 	}
-	if _, ok := s.Get(key(1)); !ok {
+	if _, ok := lookup(s, key(1)); !ok {
 		t.Fatal("entry expired before its TTL")
 	}
 	clock = clock.Add(time.Nanosecond) // exactly on the deadline
@@ -177,13 +202,13 @@ func TestStoreTTLExpiry(t *testing.T) {
 	if st := s.Stats(); st.MemHits != 1 || st.Misses != 0 || st.Expired != 0 || st.Entries != 1 {
 		t.Fatalf("peek or contains touched the counters: %+v", st)
 	}
-	if _, ok := s.Get(key(1)); ok {
+	if _, ok := lookup(s, key(1)); ok {
 		t.Fatal("entry served on its deadline")
 	}
 	if st := s.Stats(); st.Expired != 1 || st.Misses != 1 || st.Entries != 0 {
 		t.Fatalf("stats after expiry = %+v", st)
 	}
-	if _, ok := s.Get(key(1)); ok {
+	if _, ok := lookup(s, key(1)); ok {
 		t.Fatal("expired entry resurrected")
 	}
 	if st := s.Stats(); st.Expired != 1 || st.Misses != 2 {
@@ -195,19 +220,19 @@ func TestStoreTTLExpiry(t *testing.T) {
 	clock = clock.Add(30 * time.Second)
 	s.Put(key(2), "new")
 	clock = clock.Add(45 * time.Second)
-	if v, ok := s.Get(key(2)); !ok || v != "new" {
+	if v, ok := lookup(s, key(2)); !ok || v != "new" {
 		t.Fatalf("refreshed entry = %q, %v", v, ok)
 	}
 
 	// A spilled file would outlive its TTL, so the two are exclusive.
 	if _, err := New[string]("result", Options{TTL: time.Minute, Dir: t.TempDir()},
-		JSONCodec[string]()); err == nil {
+		testCodec[string]()); err == nil {
 		t.Fatal("TTL with a spill directory accepted")
 	}
 }
 
 func TestStoreConcurrent(t *testing.T) {
-	s, err := New[int]("t", Options{MaxEntries: 8, Dir: t.TempDir()}, JSONCodec[int]())
+	s, err := New[int]("t", Options{MaxEntries: 8, Dir: t.TempDir()}, testCodec[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +244,7 @@ func TestStoreConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := key(i % 16)
 				s.Put(k, i)
-				if v, ok := s.Get(k); ok && v < 0 {
+				if v, ok := lookup(s, k); ok && v < 0 {
 					t.Error("impossible value")
 				}
 				s.Contains(k)
@@ -230,7 +255,7 @@ func TestStoreConcurrent(t *testing.T) {
 }
 
 func TestStoreNeedsNameAndCodecForSpill(t *testing.T) {
-	if _, err := New[int]("", Options{}, JSONCodec[int]()); err == nil {
+	if _, err := New[int]("", Options{}, testCodec[int]()); err == nil {
 		t.Fatal("empty name accepted")
 	}
 	if _, err := New[int]("x", Options{Dir: t.TempDir()}, Codec[int]{}); err == nil {
@@ -265,7 +290,7 @@ func (l *eventLog) get(label string) int {
 func TestStoreObserverEvents(t *testing.T) {
 	dir := t.TempDir()
 	log := &eventLog{}
-	s, err := New[artifact]("tstage", Options{MaxEntries: 2, Dir: dir, Observer: log.observe}, JSONCodec[artifact]())
+	s, err := New[artifact]("tstage", Options{MaxEntries: 2, Dir: dir, Observer: log.observe}, testCodec[artifact]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +298,13 @@ func TestStoreObserverEvents(t *testing.T) {
 	s.Put(key(1), artifact{Name: "a"})
 	s.Put(key(2), artifact{Name: "b"})
 	s.Put(key(3), artifact{Name: "c"}) // evicts key(1) from memory
-	if _, ok := s.Get(key(3)); !ok {
+	if _, ok := lookup(s, key(3)); !ok {
 		t.Fatal("expected mem hit")
 	}
-	if _, ok := s.Get(key(1)); !ok { // disk promote, evicts again
+	if _, ok := lookup(s, key(1)); !ok { // disk promote, evicts again
 		t.Fatal("expected disk hit")
 	}
-	if _, ok := s.Get(key(9)); ok {
+	if _, ok := lookup(s, key(9)); ok {
 		t.Fatal("phantom hit")
 	}
 	for label, want := range map[string]int{
